@@ -1,88 +1,12 @@
-//! Criterion benches of the streaming pipelined executor against the PR-1
-//! materialize-everything baseline.
-//!
-//! Three rungs, cumulative:
-//!
-//! 1. `pr1-baseline` — a faithful reconstruction of the PR-1 `run_workers`
-//!    path: shared ticket counter, results under one mutex, and the
-//!    pre-lazy-decode Extract (an `OpaqueBlob` wrapper hides the blob's
-//!    shared allocation so every plain page is copy-decoded, exactly as
-//!    PR 1 shipped).
-//! 2. `materialized` — the same collect-at-the-end strategy on today's
-//!    executor (lazy plain-page decode active): isolates the decode win.
-//! 3. `streaming` / `streaming-no-prefetch` — the full streaming pipeline
-//!    (bounded channel, device-affine claiming, double-buffered Extract),
-//!    drained to completion: adds the overlap win.
+//! Criterion benches of the streaming host fleet: end-to-end throughput,
+//! Extract-latency hiding behind an emulated device, Extract alone, and
+//! output-channel capacity.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use presto_columnar::{BlobRead, MemBlob, ReadScratch, Result as ColumnarResult};
+use presto_columnar::ReadScratch;
 use presto_datagen::{generate_batch, write_partition, Dataset, Partition, RmConfig};
-use presto_ops::{
-    extract_partition_with, preprocess_partition_with, run_workers_materialized, BatchStream,
-    FleetConfig, MiniBatch, PlanGraph, PreprocessPlan, ScratchSpace,
-};
+use presto_ops::{extract_partition_with, BatchStream, FleetConfig, PlanGraph, PreprocessPlan};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// PR-1's `MemBlob` decoded straight from its borrowed slice but had no
-/// shared-allocation hook, so this wrapper forwards `as_slice` and
-/// *withholds* the `Arc`: the reader takes exactly the PR-1 copy-decode
-/// path over storage memory, with lazy plain-page decode disabled.
-struct OpaqueBlob<'a>(&'a MemBlob);
-
-impl BlobRead for OpaqueBlob<'_> {
-    fn blob_len(&self) -> u64 {
-        self.0.blob_len()
-    }
-
-    fn read_at_into(&self, offset: u64, buf: &mut [u8]) -> ColumnarResult<()> {
-        self.0.read_at_into(offset, buf)
-    }
-
-    fn as_slice(&self) -> Option<&[u8]> {
-        self.0.as_slice()
-    }
-    // as_shared: default None — the whole point.
-}
-
-/// The PR-1 `run_workers` strategy, reconstructed: one shared ticket, whole
-/// mini-batches accumulated under a mutex, nothing visible until the end.
-fn run_pr1_baseline(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    workers: usize,
-) -> Vec<MiniBatch> {
-    let workers = workers.max(1).min(partitions.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<MiniBatch>>> = Mutex::new(vec![None; partitions.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = ScratchSpace::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= partitions.len() {
-                        return;
-                    }
-                    let (mb, _) = preprocess_partition_with(
-                        plan,
-                        OpaqueBlob(&partitions[idx].blob),
-                        &mut scratch,
-                    )
-                    .expect("bench data preprocesses");
-                    results.lock().expect("result lock")[idx] = Some(mb);
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("result lock")
-        .into_iter()
-        .map(|b| b.expect("all partitions processed"))
-        .collect()
-}
 
 fn drain_stream(plan: &PreprocessPlan, partitions: &[Partition], config: &FleetConfig) -> usize {
     let mut batches = 0usize;
@@ -93,7 +17,7 @@ fn drain_stream(plan: &PreprocessPlan, partitions: &[Partition], config: &FleetC
     batches
 }
 
-fn bench_stream_vs_baseline(c: &mut Criterion) {
+fn bench_stream(c: &mut Criterion) {
     const PARTITIONS: usize = 16;
     const ROWS: usize = 2048;
     const DEVICES: usize = 4;
@@ -107,23 +31,6 @@ fn bench_stream_vs_baseline(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_executor");
     group.throughput(Throughput::Elements(rows));
     group.sample_size(12);
-    group.bench_function("pr1-baseline", |bench| {
-        bench.iter(|| black_box(run_pr1_baseline(&plan, ds.partitions(), WORKERS).len()));
-    });
-    group.bench_function("materialized", |bench| {
-        bench.iter(|| {
-            black_box(
-                run_workers_materialized(&plan, ds.partitions(), WORKERS)
-                    .expect("bench data preprocesses")
-                    .batches
-                    .len(),
-            )
-        });
-    });
-    group.bench_function("streaming-no-prefetch", |bench| {
-        let cfg = FleetConfig::new(WORKERS, 2 * WORKERS).without_prefetch();
-        bench.iter(|| black_box(drain_stream(&plan, ds.partitions(), &cfg)));
-    });
     group.bench_function("streaming", |bench| {
         let cfg = FleetConfig::new(WORKERS, 2 * WORKERS);
         bench.iter(|| black_box(drain_stream(&plan, ds.partitions(), &cfg)));
@@ -147,12 +54,10 @@ fn with_latency(ds: &Dataset, latency: std::time::Duration) -> Vec<Partition> {
 }
 
 fn bench_latency_hiding(c: &mut Criterion) {
-    // Extract against a device with per-read latency: the prefetch thread
-    // sleeps in the emulated pread while the worker's CPU transforms the
+    // Extract against a device with per-read latency: the front (Extract)
+    // thread sleeps in the emulated pread while the back thread transforms the
     // previous partition — the double-buffering win, visible at low worker
-    // counts even on a single-core host. (At high worker counts plain
-    // worker-level parallelism hides device latency too, so the gap
-    // narrows; the full sweep lives in `ablation-stream`.)
+    // counts even on a single-core host.
     const LATENCY_US: u64 = 25; // one NVMe-class random read per chunk
     const ROWS: usize = 4096; // sized so Extract and Transform are comparable
     let config = RmConfig::rm1();
@@ -164,16 +69,6 @@ fn bench_latency_hiding(c: &mut Criterion) {
     group.throughput(Throughput::Elements(8 * ROWS as u64));
     group.sample_size(12);
     for workers in [1usize, 2] {
-        group.bench_function(format!("materialized-w{workers}"), |bench| {
-            bench.iter(|| {
-                black_box(
-                    run_workers_materialized(&plan, &partitions, workers)
-                        .expect("bench data preprocesses")
-                        .batches
-                        .len(),
-                )
-            });
-        });
         group.bench_function(format!("streaming-w{workers}"), |bench| {
             let cfg = FleetConfig::new(workers, 2 * workers);
             bench.iter(|| black_box(drain_stream(&plan, &partitions, &cfg)));
@@ -260,7 +155,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_stream_vs_baseline, bench_extract_only, bench_latency_hiding,
+    targets = bench_stream, bench_extract_only, bench_latency_hiding,
         bench_queue_capacity
 }
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! Ablation: the streaming pipelined executor — queue capacity × workers ×
-//! devices, device contention, Extract-latency hiding, and calibration of
-//! the pipeline simulation from measured inter-arrival times.
+//! Ablation: the streaming host fleet — queue capacity × workers ×
+//! devices, device contention, the queue-depth device model, and
+//! calibration of the pipeline simulation from measured inter-arrival
+//! times.
 //!
 //! Run with `cargo run --release -p presto-bench --bin ablation-stream`.
 
@@ -13,9 +14,7 @@ use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::ssd::SsdModel;
 use presto_hwsim::units::Secs;
 use presto_metrics::{percent, TextTable};
-use presto_ops::{
-    inter_arrivals, run_workers_materialized, BatchStream, FleetConfig, PreprocessPlan,
-};
+use presto_ops::{inter_arrivals, BatchStream, FleetConfig, PreprocessPlan};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +45,7 @@ fn throughput(rows: usize, elapsed: Duration) -> String {
 fn main() {
     banner(
         "Ablation: streaming executor — capacity x workers x devices (RM1)",
-        "bounded-channel streaming vs materialized collection; device-affine claiming; measured-arrival calibration",
+        "bounded-channel streaming; device-affine claiming; queue-depth devices; measured-arrival calibration",
     );
     let config = RmConfig::rm1();
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
@@ -93,35 +92,7 @@ fn main() {
     print_table(&t);
     println!();
 
-    // 3. Extract-latency hiding: the same partitions behind an emulated
-    // device (every positioned read sleeps 25us, zero-copy borrows off).
-    let latency = Duration::from_micros(25);
-    let slow: Vec<Partition> = ds
-        .partitions()
-        .iter()
-        .map(|p| Partition {
-            index: p.index,
-            device: p.device,
-            rows: p.rows,
-            blob: p.blob.clone().with_read_latency(latency),
-        })
-        .collect();
-    let mut t = TextTable::new(vec!["workers", "materialized samples/s", "streaming samples/s"]);
-    for workers in [1usize, 2, 4] {
-        let m = {
-            let start = Instant::now();
-            run_workers_materialized(&plan, &slow, workers).expect("preprocesses");
-            start.elapsed()
-        };
-        let cfg = FleetConfig::new(workers, 2 * workers);
-        let (s, _, _, _) = run_stream(&plan, &slow, &cfg);
-        t.row(vec![workers.to_string(), throughput(total_rows, m), throughput(total_rows, s)]);
-    }
-    println!("-- Emulated SSD latency (25us/read): prefetch hides Extract at low worker counts --");
-    print_table(&t);
-    println!();
-
-    // 4. Queue-depth device model: the same partitions behind ONE emulated
+    // 3. Queue-depth device model: the same partitions behind ONE emulated
     // device whose queue depth limits read concurrency. The schedule
     // makespan the token queue produces must agree with the hwsim SSD
     // model's predicted serialization (ceil(reads / depth) x latency) —
@@ -182,7 +153,7 @@ fn main() {
     println!("(deeper queues leave the backlog assumption, so the prediction is a lower bound)");
     println!();
 
-    // 5. Calibration: replay the measured consumer-side inter-arrival
+    // 4. Calibration: replay the measured consumer-side inter-arrival
     // process through the trainer simulation and compare with the analytic
     // steady-state arrival model.
     let cfg = FleetConfig::new(2, 4);

@@ -15,7 +15,7 @@
 //!   the consuming trainer (`BatchStream::spawn` → `Trainer`),
 //!   consumer-side goodput.
 //! * `split_end_to_end_rows_per_sec` — the hybrid split-placement executor
-//!   (`SplitBatchStream::spawn`: ISP stage prefix pipelined against the
+//!   (`Fleet::Split(..).stream`: ISP stage prefix pipelined against the
 //!   host suffix at the cost-model boundary) feeding the same trainer.
 //! * `multi_tenant_rows_per_sec` — two concurrent RM1 jobs through the
 //!   multi-tenant [`PreprocessService`] sharing one pool worker under
@@ -52,9 +52,7 @@
 use presto_bench::{banner, parse_flat_json, print_table, render_flat_json};
 use presto_columnar::ReadScratch;
 use presto_core::placement::{place_stages, OpCostModel};
-use presto_core::{
-    JobSpec, PreprocessService, ServiceConfig, SplitBatchStream, Trainer, TrainerConfig,
-};
+use presto_core::{Fleet, JobSpec, PreprocessService, ServiceConfig, Trainer, TrainerConfig};
 use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto_hwsim::fpga::IspModel;
 use presto_metrics::TextTable;
@@ -129,12 +127,12 @@ fn split_end_to_end() -> f64 {
     let plan = PreprocessPlan::from_config(&config, 1).expect("plan");
     let model = OpCostModel::analytic(&IspModel::smartssd());
     let placement = place_stages(&plan, 1024, &model);
-    let split = plan.split(&placement.fleet_assignment()).expect("splits");
+    let fleet = Fleet::Split(plan.split(&placement.fleet_assignment()).expect("splits"));
     let ds = Dataset::generate(&config, 8, 1024, 2, 7).expect("dataset");
     let trainer = Trainer::new(TrainerConfig::instant());
     best_of(3, || {
         let config = FleetConfig::new(2, 4).with_host_workers(2);
-        let stream = SplitBatchStream::spawn(&plan, &split, ds.partitions(), &config);
+        let stream = fleet.stream(&plan, ds.partitions(), &config);
         let report = trainer.run(stream).expect("trains");
         report.rows
     })

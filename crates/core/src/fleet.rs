@@ -1,11 +1,7 @@
 //! The unified fleet API: one spec, one config, any streaming executor.
 //!
-//! Before this module, each fleet had its own entry point with its own
-//! positional argument list: `stream_workers_with(plan, parts, &config)`
-//! for the host CPU fleet, `stream_isp_workers_with(plan, parts, workers,
-//! capacity, &recovery)` for the in-storage emulation, and a seven-argument
-//! `stream_split_workers_with` for the hybrid split. Swapping fleets meant
-//! rewriting the call site. [`Fleet`] collapses them into a single spec:
+//! [`Fleet`] names the executor and [`FleetConfig`] carries every knob, so
+//! swapping fleets never rewrites a call site:
 //!
 //! ```
 //! use presto_core::fleet::Fleet;
@@ -26,28 +22,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! All knobs live on one builder, [`FleetConfig`]: shared worker count and
-//! output capacity, the host fleet's `prefetch` ablation switch, the
-//! recovery policy (fail-fast by default — see [`FleetConfig::recovery`]),
-//! and the split fleet's host-side worker count and device-link capacity.
-//! Knobs that do not apply to a fleet are simply ignored, so one config
-//! can drive an apples-to-apples comparison across all three.
-//!
-//! # Migration from the deprecated entry points
-//!
-//! | Deprecated call | Replacement |
-//! |---|---|
-//! | `stream_workers(p, parts, w, cap)` | `Fleet::Host.spawn(p, parts, &FleetConfig::new(w, cap))` |
-//! | `stream_workers_with(p, parts, &sc)` | `BatchStream::spawn(p, parts, &sc.to_fleet())` |
-//! | `stream_isp_workers(p, parts, w, cap)` | `Fleet::Isp.spawn(p, parts, &FleetConfig::new(w, cap))` |
-//! | `stream_isp_workers_with(p, parts, w, cap, &r)` | `..new(w, cap).with_recovery(r)` |
-//! | `stream_split_workers(p, s, parts, iw, hw, cap)` | `Fleet::Split(s).spawn(p, parts, &..new(iw, cap).with_host_workers(hw))` |
-//!
-//! The concrete `spawn` constructors ([`BatchStream::spawn`],
-//! [`IspBatchStream::spawn`], [`SplitBatchStream::spawn`]) remain available
-//! when the caller needs fleet-specific accessors; `Fleet::spawn` erases
-//! the type behind [`BatchSource`] for callers — like the multi-tenant
-//! [`service`](crate::service) — that treat fleets interchangeably.
+//! Every fleet is a constructor over the one streaming
+//! [engine](presto_ops::engine): it picks a unit pipeline, a claim source,
+//! a thread layout and a delivery order (the table in the engine docs).
+//! [`Fleet::stream`] returns the engine's [`BatchStream`] for callers that
+//! want its iterator and reports; [`Fleet::spawn`] erases it behind
+//! [`BatchSource`] for callers — like the [`Trainer`](crate::pipeline::Trainer)
+//! — that treat fleets interchangeably. Knobs that do not apply to a fleet
+//! are ignored, so one config can drive an apples-to-apples comparison
+//! across all of them.
 //!
 //! Note: [`presto_ops::plan::Fleet`] is the *per-stage placement tag*
 //! (which side of the split boundary a compiled stage runs on); this
@@ -55,28 +38,29 @@
 //! carries the [`SplitPlan`] produced from a list of the former.
 
 use presto_datagen::Partition;
-use presto_ops::executor::PreprocessError;
+use presto_ops::engine::{BatchStream, ClaimOrder, FleetConfig, Link, Run};
 use presto_ops::plan::{PreprocessPlan, SplitPlan};
 use presto_ops::shuffle::{ShuffleSpec, ShuffledStream};
-use presto_ops::stream::{BatchStream, FleetConfig, StreamedBatch};
 
-use crate::isp_worker::IspBatchStream;
+use crate::isp_worker::IspWorker;
 use crate::pipeline::BatchSource;
-use crate::split::SplitBatchStream;
+use crate::split::SplitPipeline;
 
-/// Which streaming executor to spawn — the unified spec covering all three
-/// fleets of the reproduction.
+/// Which streaming executor to spawn — the unified spec covering every
+/// fleet of the reproduction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fleet {
-    /// Host CPU fleet: [`BatchStream`] with double-buffered Extract
-    /// prefetch and device-affine work stealing.
+    /// Host CPU fleet ([`BatchStream::spawn`]): Extract | Transform +
+    /// format with double-buffered Extract and device-affine work
+    /// stealing.
     Host,
-    /// In-storage fleet: [`IspBatchStream`] emulating one ISP unit per
-    /// worker, with host failover for quarantined devices.
+    /// In-storage fleet: one emulated ISP unit ([`IspWorker`]) per worker,
+    /// claiming partitions in order, with a host failover thread for units
+    /// the devices give up on.
     Isp,
-    /// Hybrid split fleet: [`SplitBatchStream`] running the carried
-    /// [`SplitPlan`]'s stage prefix on ISP units and its suffix on host
-    /// workers, pipelined over the device link.
+    /// Hybrid split fleet ([`SplitPipeline`]): the carried [`SplitPlan`]'s
+    /// stage prefix on ISP units and its suffix on host workers,
+    /// pipelined over the device link.
     Split(SplitPlan),
     /// Shuffled-epoch fleet: [`ShuffledStream`] streaming every `PSTOCOL4`
     /// row group of the partitions in the carried spec's seeded
@@ -89,12 +73,7 @@ pub enum Fleet {
 impl Fleet {
     /// Spawns this fleet over `partitions` with the shared `config`,
     /// type-erased behind [`BatchSource`] so a
-    /// [`Trainer`](crate::pipeline::Trainer) (or the multi-tenant service)
-    /// consumes any fleet unchanged.
-    ///
-    /// Knobs that do not apply to the chosen fleet are ignored:
-    /// `prefetch` only affects [`Fleet::Host`]; `host_workers` and
-    /// `link_capacity` only affect [`Fleet::Split`].
+    /// [`Trainer`](crate::pipeline::Trainer) consumes any fleet unchanged.
     #[must_use]
     pub fn spawn(
         &self,
@@ -102,20 +81,56 @@ impl Fleet {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> Box<dyn BatchSource + Send> {
+        Box::new(self.stream(plan, partitions, config))
+    }
+
+    /// Spawns this fleet and returns the engine's stream itself.
+    ///
+    /// `workers` is the front worker count (ISP units on the ISP and split
+    /// fleets); the ISP fleet adds one failover thread, the split fleet
+    /// [`FleetConfig::effective_host_workers`] host workers behind a
+    /// `capacity`-deep device link. A shuffled fleet whose row-group
+    /// footers cannot be enumerated yields that error as its only item, so
+    /// this constructor stays infallible like every other fleet's.
+    #[must_use]
+    pub fn stream(
+        &self,
+        plan: &PreprocessPlan,
+        partitions: &[Partition],
+        config: &FleetConfig,
+    ) -> BatchStream {
+        let in_order = || {
+            Run::new(
+                plan.clone(),
+                partitions.to_vec(),
+                ClaimOrder::InOrder,
+                config.recovery.clone(),
+            )
+        };
         match self {
-            Fleet::Host => Box::new(BatchStream::spawn(plan, partitions, config)),
-            Fleet::Isp => Box::new(IspBatchStream::spawn(plan, partitions, config)),
-            Fleet::Split(split) => {
-                Box::new(SplitBatchStream::spawn(plan, split, partitions, config))
+            Fleet::Host => BatchStream::spawn(plan, partitions, config),
+            Fleet::Isp => {
+                // Each partition fails over at most once, so the failover
+                // link can never block a unit.
+                let link = Link::Shared { capacity: partitions.len(), back_workers: 1 };
+                BatchStream::from_pipeline(in_order(), IspWorker::new(plan.clone()), config, link)
             }
-            // The shuffled fleet enumerates row-group footers up front; a
-            // failure there surfaces as the stream's only item, matching
-            // the other fleets' errors-on-the-stream contract so this
-            // constructor stays infallible.
-            Fleet::Shuffled(spec) => match ShuffledStream::spawn(plan, partitions, *spec, config) {
-                Ok(stream) => Box::new(stream),
-                Err(e) => Box::new(FailedSpawn { err: Some(e) }),
-            },
+            Fleet::Split(split) => {
+                // The link models the bounded device link: ISP units stall
+                // once `capacity` boundary payloads are in flight.
+                let link = Link::Shared {
+                    capacity: config.capacity,
+                    back_workers: config.effective_host_workers(),
+                };
+                BatchStream::from_pipeline(
+                    in_order(),
+                    SplitPipeline::new(split.clone()),
+                    config,
+                    link,
+                )
+            }
+            Fleet::Shuffled(spec) => ShuffledStream::spawn(plan, partitions, *spec, config)
+                .map_or_else(|e| BatchStream::failed(plan, e), ShuffledStream::into_inner),
         }
     }
 
@@ -128,26 +143,6 @@ impl Fleet {
             Fleet::Split(_) => "split",
             Fleet::Shuffled(_) => "shuffled",
         }
-    }
-}
-
-/// Degenerate [`BatchSource`] yielding one spawn-time error, then ending.
-#[derive(Debug)]
-struct FailedSpawn {
-    err: Option<PreprocessError>,
-}
-
-impl BatchSource for FailedSpawn {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.err.take().map(Err)
-    }
-
-    fn capacity(&self) -> usize {
-        1
-    }
-
-    fn queued(&self) -> usize {
-        usize::from(self.err.is_some())
     }
 }
 

@@ -12,13 +12,13 @@
 //!   steady-state per-worker throughput ([`System::per_worker_throughput`]).
 //! * [`simulate_measured`] — the calibration hook: replay a *measured*
 //!   inter-arrival process, e.g. the consumer-side gaps recorded from a
-//!   real `presto_ops::stream::BatchStream` run, so the simulated trainer
+//!   real `presto_ops::BatchStream` run, so the simulated trainer
 //!   is driven by the executor actually built in this repo rather than an
 //!   idealized rate.
 //!
 //! The *executable* counterpart of the simulation is the [`Trainer`]: a
-//! real consumer that pulls mini-batches off a [`BatchSource`] (the host
-//! streaming executor or the ISP emulation), spends calibrated per-batch
+//! real consumer that pulls mini-batches off a [`BatchSource`] (any fleet's
+//! stream or a service job), spends calibrated per-batch
 //! compute on each ([`TrainerConfig::for_model`]), and reports
 //! consumer-side goodput, stall time and queue-occupancy histograms. Its
 //! measured inter-arrival trace feeds [`simulate_measured`]
@@ -29,11 +29,12 @@ use presto_datagen::{RmConfig, WorkloadProfile};
 use presto_hwsim::event::EventQueue;
 use presto_hwsim::gpu::GpuTrainModel;
 use presto_hwsim::units::Secs;
+use presto_ops::engine::{inter_arrivals, StreamStats};
 use presto_ops::executor::PreprocessError;
 use presto_ops::recovery::RunReport;
-use presto_ops::shuffle::ShuffledStream;
-use presto_ops::stream::{inter_arrivals, BatchStream, StreamStats, StreamedBatch};
 use std::time::{Duration, Instant};
+
+pub use presto_ops::engine::BatchSource;
 
 use crate::systems::System;
 
@@ -445,89 +446,6 @@ impl TrainerReport {
     }
 }
 
-/// A producer the trainer can consume: a blocking pull of preprocessed
-/// mini-batches plus the channel introspection the occupancy histogram
-/// needs. Implemented by all three streaming fleets — the host executor
-/// ([`presto_ops::stream::BatchStream`]), the in-storage emulation
-/// ([`crate::isp_worker::IspBatchStream`]), the hybrid split executor
-/// ([`crate::split::SplitBatchStream`]) — and by the multi-tenant
-/// service's per-job handle ([`crate::service::JobHandle`]), so a
-/// `Trainer` plugs into any of them unchanged.
-pub trait BatchSource {
-    /// Pulls the next mini-batch, blocking until one is ready; `None` ends
-    /// the stream.
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>>;
-
-    /// Output-channel capacity (sizes the occupancy histogram).
-    fn capacity(&self) -> usize;
-
-    /// Mini-batches currently buffered in the output channel.
-    fn queued(&self) -> usize;
-
-    /// Consolidated fleet counters ([`StreamStats`]): queue depth,
-    /// completed partitions, emulated P2P / boundary link traffic, and the
-    /// recovery snapshot. The default covers sources without
-    /// instrumentation (capacity and live queue depth only; everything
-    /// else zero / `None`).
-    fn stats(&self) -> StreamStats {
-        StreamStats { capacity: self.capacity(), queued: self.queued(), ..StreamStats::default() }
-    }
-}
-
-impl BatchSource for BatchStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        BatchStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        BatchStream::queued(self)
-    }
-
-    fn stats(&self) -> StreamStats {
-        BatchStream::stats(self)
-    }
-}
-
-impl<S: BatchSource + ?Sized> BatchSource for Box<S> {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        (**self).next_batch()
-    }
-
-    fn capacity(&self) -> usize {
-        (**self).capacity()
-    }
-
-    fn queued(&self) -> usize {
-        (**self).queued()
-    }
-
-    fn stats(&self) -> StreamStats {
-        (**self).stats()
-    }
-}
-
-impl BatchSource for ShuffledStream {
-    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
-        self.next()
-    }
-
-    fn capacity(&self) -> usize {
-        ShuffledStream::capacity(self)
-    }
-
-    fn queued(&self) -> usize {
-        ShuffledStream::queued(self)
-    }
-
-    fn stats(&self) -> StreamStats {
-        ShuffledStream::stats(self)
-    }
-}
-
 /// The consuming trainer: pulls mini-batches from a [`BatchSource`],
 /// spends [`TrainerConfig`]'s compute on each, and reports consumer-side
 /// goodput, stall time and queue occupancy.
@@ -767,7 +685,7 @@ mod tests {
     // --- Trainer in the loop ---
 
     use presto_datagen::Dataset;
-    use presto_ops::{FleetConfig, PreprocessPlan};
+    use presto_ops::{BatchStream, FleetConfig, PreprocessPlan};
 
     fn tiny_dataset(partitions: usize, rows: usize) -> (RmConfig, PreprocessPlan, Dataset) {
         let mut c = RmConfig::rm1();

@@ -216,24 +216,16 @@ impl System {
     }
 
     /// Executor shape for running this system's preprocessing fleet *for
-    /// real* through the streaming executor (`presto_ops::stream`): one
+    /// real* through the streaming engine (`presto_ops::engine`): one
     /// pipeline per worker/device and a `2×` output-channel capacity, the
-    /// rule of thumb the streaming ablation settled on. Host-CPU systems
-    /// keep the Extract prefetch thread (double buffering); PreSto units
-    /// overlap Extract internally (Sec. IV-C double buffering happens
-    /// on-card), so their fused pipeline runs without a host-side
-    /// prefetcher.
+    /// rule of thumb the streaming ablation settled on.
     ///
     /// This is what lets the trainer-in-the-loop experiments size the real
     /// executor from the same [`System`] value the analytic model prices.
     #[must_use]
     pub fn stream_config(&self) -> presto_ops::FleetConfig {
         let workers = self.parallelism().max(1);
-        let config = presto_ops::FleetConfig::new(workers, 2 * workers);
-        match self {
-            System::Presto { .. } => config.without_prefetch(),
-            _ => config,
-        }
+        presto_ops::FleetConfig::new(workers, 2 * workers)
     }
 
     /// Cost-model-driven placement of a compiled plan's operator stages on
@@ -417,10 +409,8 @@ mod tests {
         let disagg = System::disagg(4).stream_config();
         assert_eq!(disagg.workers, 4);
         assert_eq!(disagg.capacity, 8);
-        assert!(disagg.prefetch, "host CPUs double-buffer Extract");
         let presto = System::presto_smartssd(2).stream_config();
         assert_eq!(presto.workers, 2);
-        assert!(!presto.prefetch, "ISP units overlap Extract on-card");
     }
 
     #[test]

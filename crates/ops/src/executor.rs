@@ -1248,8 +1248,8 @@ pub struct SplitReport {
 /// fleet projections from one file open, run the ISP prefix through the
 /// chunked emulation, hand the boundary across, run the host suffix and
 /// assemble. Bit-identical to [`preprocess_partition`] — the streaming
-/// equivalent (ISP and host sides pipelined on separate threads) lives in
-/// `presto_core::SplitBatchStream`.
+/// equivalent (ISP and host sides pipelined on separate threads) is
+/// `presto_core::Fleet::Split`.
 ///
 /// # Errors
 ///
@@ -1381,8 +1381,8 @@ pub fn preprocess_partition_with<B: BlobRead>(
 /// The Extract stage alone: projected read + decode + row-group merge into
 /// one owned [`RowBatch`], with its wall-clock cost.
 ///
-/// This is the stage the streaming executor's prefetch thread runs for
-/// partition *i + 1* while the worker transforms partition *i* (see
+/// This is the host fleet's front segment, which runs for partition
+/// *i + 1* while the worker's back segment transforms partition *i* (see
 /// [`crate::stream`]); [`preprocess_partition_with`] is exactly this
 /// followed by [`preprocess_batch_owned`].
 ///

@@ -20,13 +20,16 @@
 //!   format-conversion pipeline over `presto-columnar` partitions. One
 //!   runner serves the host CPU paths and (chunked through on-chip
 //!   feature buffers) the in-storage worker emulation.
-//! * [`stream`] — the streaming pipelined executor: bounded output
-//!   channels, per-worker double-buffered Extract prefetch and
-//!   device-affine work assignment (the producer–consumer architecture of
-//!   Section II-D, actually streaming).
+//! * [`engine`] — the one streaming engine every fleet and the
+//!   multi-tenant service run on: units, unit pipelines (front segment →
+//!   bounded link → back segment, with ISP → host fallback), claim
+//!   sources, arrival- or sequence-order delivery, and the one attempt
+//!   loop behind retry, quarantine and failover.
+//! * [`stream`] — the host CPU fleet on that engine: bounded output
+//!   channels, per-worker double-buffered Extract and device-affine work
+//!   assignment (the producer–consumer architecture of Section II-D).
 //! * [`parallel`] — [`run_workers`], the drain-the-stream-into-a-`Vec`
-//!   wrapper, plus the pre-streaming materialized baseline kept for
-//!   ablations.
+//!   wrapper.
 //! * [`shuffle`] — [`ShuffledStream`], the random-access epoch streamer:
 //!   a seeded deterministic permutation over every `PSTOCOL4` row group of
 //!   every partition, bit-identical across worker counts and resumable
@@ -66,6 +69,7 @@
 
 pub mod bucketize;
 pub mod dedup;
+pub mod engine;
 pub mod executor;
 pub mod graph;
 pub mod listops;
@@ -81,6 +85,10 @@ pub mod stream;
 
 pub use bucketize::{BucketizeError, Bucketizer};
 pub use dedup::{hash_deduped, plan_dedup, DedupPlan};
+pub use engine::{
+    inter_arrivals, BatchSource, BatchStream, DeviceLoad, FleetConfig, OrderedBatchStream,
+    StreamStats, StreamedBatch,
+};
 pub use executor::{
     extract_batch_from_reader, extract_columns_for_plan, extract_columns_from_reader,
     extract_group_for_plan, extract_group_from_reader, extract_partition_with, preprocess_batch,
@@ -93,7 +101,7 @@ pub use executor::{
 pub use graph::{ChainSpec, GraphError, PlanGraph};
 pub use minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};
 pub use op::{firstx_into, ngram_into, IdMap, Op, OpTag, ValueKind};
-pub use parallel::{run_workers, run_workers_materialized, ParallelReport};
+pub use parallel::{run_workers, ParallelReport};
 pub use plan::{
     BoundarySlot, ColumnRequirement, CompiledStage, Fleet, PreprocessPlan, SplitPlan, StageInput,
 };
@@ -102,9 +110,3 @@ pub use recovery::{
 };
 pub use shuffle::{epoch_order, epoch_units, EpochCursor, GroupRef, ShuffleSpec, ShuffledStream};
 pub use sigridhash::{InvalidMaxValueError, SigridHasher};
-pub use stream::{
-    inter_arrivals, BatchStream, DeviceLoad, FleetConfig, OrderedBatchStream, StreamStats,
-    StreamedBatch,
-};
-#[allow(deprecated)]
-pub use stream::{stream_workers, stream_workers_with, StreamConfig};

@@ -1,21 +1,19 @@
-//! Recovery policy and bookkeeping shared by both streaming fleets.
+//! Recovery policy and bookkeeping for the streaming engine.
 //!
-//! The host executor ([`crate::stream`]) and the ISP fleet
-//! (`presto_core::isp_worker`) face the same failure menu — transient read
-//! errors, corrupt pages, latency spikes, dead devices — and answer it with
-//! the same mechanisms: per-partition **retry with capped exponential
-//! backoff**, per-device **consecutive-failure quarantine** (a circuit
-//! breaker), deadline-based **straggler detection**, and (for the ISP fleet)
-//! **failover to the host path**. This module holds the pieces both sides
-//! share:
+//! Every fleet and the service face the same failure menu — transient read
+//! errors, corrupt pages, latency spikes, dead devices — and answer it in
+//! the [engine](crate::engine)'s one attempt loop: per-unit **retry with
+//! capped exponential backoff**, per-device **consecutive-failure
+//! quarantine** (a circuit breaker), deadline-based **straggler
+//! detection**, and (for ISP front segments) **failover to the host path**.
+//! This module holds the pieces that loop uses:
 //!
 //! * [`RetryPolicy`] — the knobs. [`RetryPolicy::fail_fast`] reproduces the
 //!   pre-recovery semantics exactly (one attempt, first error poisons the
 //!   run); [`RetryPolicy::recover`] is the tolerant preset chaos tests use.
 //!   Every fleet takes its policy from the one
-//!   [`FleetConfig::recovery`](crate::stream::FleetConfig) knob, whose
-//!   documented default is fail-fast — see `FleetConfig` for the single
-//!   source of truth on that default.
+//!   [`FleetConfig::recovery`](crate::engine::FleetConfig) knob, whose
+//!   documented default is fail-fast.
 //! * [`RecoveryTracker`] — lock-light shared state: per-device health
 //!   (consecutive failures → quarantine), aggregate counters, and a
 //!   timestamped [`RecoveryEvent`] log.
@@ -24,9 +22,9 @@
 //!   which partitions (if any) were lost, and a delivery timeline from
 //!   which degraded throughput can be read off.
 //!
-//! Device identity here is a **slot index** into the fleet's sorted distinct
-//! device list — the same ordering `crate::stream::DeviceLoad` reports — so
-//! reports from the two fleets line up with their load accounting.
+//! Device identity here is a **slot index** into the run's sorted distinct
+//! device list — the same ordering `crate::engine::DeviceLoad` reports — so
+//! recovery reports line up with the load accounting.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -215,8 +213,8 @@ pub struct DeviceHealth {
 /// Snapshot of a streaming run's recovery activity.
 ///
 /// Produced by [`RecoveryTracker::report`] and surfaced through
-/// `BatchStream::run_report` / `IspBatchStream::run_report` and the
-/// Trainer. [`RunReport::events`] is ordered by time; filtering it for
+/// `BatchStream::run_report`, [`StreamStats::recovery`](crate::StreamStats)
+/// and the Trainer. [`RunReport::events`] is ordered by time; filtering it for
 /// [`RecoveryEventKind::Delivered`] gives the delivery timeline from which
 /// goodput under degradation can be computed
 /// ([`RunReport::throughput_timeline`] does this binning).

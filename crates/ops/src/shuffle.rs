@@ -16,22 +16,20 @@
 //!   `(seed, epoch)` with a SplitMix64-keyed Fisher–Yates shuffle. Same
 //!   inputs ⇒ same permutation, on every worker count, forever; the epoch
 //!   number folds in so successive epochs reshuffle without new seeds.
-//! * [`ShuffledStream`] streams the permutation through a worker pool with
-//!   a bounded output channel (the prefetch bound) and **delivers units in
-//!   permutation order**: workers race, a small reorder heap at the
-//!   consumer restores the seeded order, so the concatenated epoch output
-//!   is bit-identical across worker counts — the property the CI
-//!   `shuffle-determinism` matrix pins.
+//! * [`ShuffledStream`] runs the permutation through the
+//!   [`engine`](crate::engine) — one row group per unit, claimed in
+//!   permutation order — with a bounded output channel (the prefetch
+//!   bound), and **delivers units in permutation order**: workers race,
+//!   the engine's reorder heap restores the seeded order, so the
+//!   concatenated epoch output is bit-identical across worker counts — the
+//!   property the CI `shuffle-determinism` matrix pins.
 //! * [`EpochCursor`] ([`ShuffledStream::cursor`]) is a serializable
 //!   checkpoint of how far the epoch got; [`ShuffledStream::resume`]
 //!   continues from it bit-identically.
 //!
-//! Failure handling reuses the fleet [`RetryPolicy`](crate::recovery::RetryPolicy)
-//! machinery at row-group
-//! granularity: each unit is retried with capped backoff on retryable
-//! storage faults, devices carry the same consecutive-failure quarantine
-//! circuit breaker, and with `fail_fast: false` every claimed unit ends as
-//! exactly one in-order `Ok` batch or one tagged `Err`.
+//! Failure handling is the engine's, at row-group granularity: with
+//! `fail_fast: false` every claimed unit ends as exactly one in-order `Ok`
+//! batch or one tagged `Err`.
 //!
 //! # Shuffle quality vs read amplification
 //!
@@ -44,18 +42,16 @@
 //! recommendation pipelines make. `examples/shuffle_epochs` sweeps the
 //! trade-off.
 
+use crate::engine::{
+    BatchSource, BatchStream, ClaimOrder, FleetConfig, Front, Link, Produced, Run, StreamStats,
+    StreamedBatch, Unit, UnitPipeline,
+};
 use crate::executor::{preprocess_group_with, PreprocessError, ScratchSpace};
-use crate::recovery::{RecoveryTracker, RunReport};
-use crate::stream::{FleetConfig, StreamStats, StreamedBatch};
-use crossbeam_channel::{bounded, Receiver, Sender};
+use crate::plan::PreprocessPlan;
+use crate::recovery::RunReport;
 use presto_columnar::{ColumnarError, FileReader};
 use presto_datagen::Partition;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// What to shuffle: the seed and which epoch of it to stream.
 ///
@@ -202,142 +198,44 @@ impl EpochCursor {
     }
 }
 
-/// State shared by the shuffled run's workers.
-#[derive(Debug)]
-struct ShuffleShared {
-    plan: crate::plan::PreprocessPlan,
-    partitions: Vec<Partition>,
-    units: Vec<GroupRef>,
-    /// The epoch permutation: `order[seq]` is the unit streamed at
-    /// permutation position `seq`.
-    order: Vec<usize>,
-    /// Next permutation position to claim (producer side).
-    claim: AtomicUsize,
-    tracker: RecoveryTracker,
-    stop: AtomicBool,
-    completed: AtomicUsize,
-    started: Instant,
-}
+/// The shuffled fleet's unit pipeline: one row group per unit, read and
+/// preprocessed in the front segment.
+#[derive(Debug, Clone, Copy)]
+struct RowGroups;
 
-type SeqItem = (usize, Result<StreamedBatch, PreprocessError>);
+impl UnitPipeline for RowGroups {
+    type Mid = Infallible;
+    type Read = ();
 
-/// Runs one claimed unit's Extract + Transform with the fleet retry loop:
-/// capped exponential backoff on retryable errors, straggler accounting,
-/// per-device quarantine — the row-group-granularity twin of the partition
-/// fleets' attempt loop.
-fn attempt_unit(
-    shared: &ShuffleShared,
-    seq: usize,
-    scratch: &mut ScratchSpace,
-) -> Result<StreamedBatch, PreprocessError> {
-    let unit = shared.units[shared.order[seq]];
-    let partition = &shared.partitions[unit.partition];
-    let slot = shared.tracker.slot_of(partition.device);
-    let policy = shared.tracker.policy();
-    if shared.tracker.is_quarantined(slot) {
-        let e = PreprocessError::Extract(ColumnarError::Io {
-            detail: format!("device {} quarantined (circuit breaker open)", partition.device),
-        });
-        shared.tracker.note_failed(slot, unit.partition);
-        return Err(e.with_location(unit.partition, partition.device));
+    fn front(
+        &self,
+        run: &Run,
+        unit: &Unit,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Front<Infallible>, PreprocessError> {
+        let reader = FileReader::open(run.partition(unit).blob.clone())?;
+        let (batch, timings) = preprocess_group_with(run.plan(), &reader, unit.group, scratch)?;
+        Ok(Front::Done(batch, timings))
     }
-    let mut attempt = 1u32;
-    let produced = loop {
-        let t0 = Instant::now();
-        let result = FileReader::open(partition.blob.clone())
-            .map_err(PreprocessError::from)
-            .and_then(|reader| preprocess_group_with(&shared.plan, &reader, unit.group, scratch));
-        shared.tracker.check_straggler(slot, unit.partition, t0.elapsed());
-        match result {
-            Ok(produced) => break Ok(produced),
-            Err(e) => {
-                shared.tracker.note_fault(slot, unit.partition);
-                let retry = e.is_retryable()
-                    && attempt < policy.max_attempts
-                    && !shared.tracker.is_quarantined(slot)
-                    && !shared.stop.load(Ordering::Relaxed);
-                if !retry {
-                    break Err(e);
-                }
-                attempt += 1;
-                let backoff = shared.tracker.note_retry(slot, unit.partition, attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    };
-    match produced {
-        Ok((batch, timings)) => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tracker.note_delivered(slot, unit.partition, false);
-            Ok(StreamedBatch {
-                partition: unit.partition,
-                group: unit.group,
-                device: partition.device,
-                stolen: false,
-                batch,
-                timings,
-                arrived: shared.started.elapsed(),
-                attempts: attempt,
-                via_failover: false,
-            })
-        }
-        Err(e) => {
-            shared.tracker.note_failed(slot, unit.partition);
-            Err(e.with_location(unit.partition, partition.device))
-        }
+
+    fn back_read(&self, _: &Run, _: &Unit, _: &mut ScratchSpace) -> Result<(), PreprocessError> {
+        Ok(())
+    }
+
+    fn back(
+        &self,
+        _: &Run,
+        _: &Unit,
+        mid: Infallible,
+        (): (),
+    ) -> Result<Produced, PreprocessError> {
+        match mid {}
     }
 }
 
-/// Worker body: claim the next permutation position, process its unit,
-/// send `(seq, result)`; the consumer's reorder heap restores seq order.
-fn shuffle_loop(shared: Arc<ShuffleShared>, tx: Sender<SeqItem>) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut scratch = ScratchSpace::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let seq = shared.claim.fetch_add(1, Ordering::Relaxed);
-            if seq >= shared.order.len() {
-                break;
-            }
-            let result = attempt_unit(&shared, seq, &mut scratch);
-            let failed = result.is_err();
-            if failed && shared.tracker.policy().fail_fast {
-                shared.stop.store(true, Ordering::Relaxed);
-                let _ = tx.send((seq, result));
-                break;
-            }
-            if tx.send((seq, result)).is_err() {
-                break;
-            }
-        }
-    }
-}
-
-/// Min-heap entry ordered by permutation position.
-#[derive(Debug)]
-struct BySeq(SeqItem);
-
-impl PartialEq for BySeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 .0 == other.0 .0
-    }
-}
-impl Eq for BySeq {}
-impl PartialOrd for BySeq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BySeq {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0 .0.cmp(&other.0 .0)
-    }
-}
-
-/// A shuffled-epoch [`BatchSource`](StreamStats) feed: row groups of all
-/// partitions in a seeded permutation, delivered **in permutation order**
-/// regardless of worker count.
+/// A shuffled-epoch [`BatchSource`] feed: row groups of all partitions in
+/// a seeded permutation, delivered **in permutation order** regardless of
+/// worker count.
 ///
 /// Construction: [`ShuffledStream::spawn`] starts an epoch from the top;
 /// [`ShuffledStream::resume`] continues from an [`EpochCursor`]. Dropping
@@ -345,17 +243,8 @@ impl Ord for BySeq {
 /// channel).
 #[derive(Debug)]
 pub struct ShuffledStream {
-    rx: Option<Receiver<SeqItem>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Arc<ShuffleShared>,
-    pending: BinaryHeap<Reverse<BySeq>>,
-    /// Next permutation position to yield — the consumer-side watermark
-    /// the cursor is derived from, so a resumed run never re-delivers or
-    /// skips a unit no matter what producers had claimed ahead.
-    next_seq: usize,
+    inner: BatchStream,
     spec: ShuffleSpec,
-    workers: usize,
-    capacity: usize,
 }
 
 impl ShuffledStream {
@@ -365,14 +254,13 @@ impl ShuffledStream {
     /// `config.workers` parallel unit pipelines feed a
     /// `config.capacity`-bounded channel (the prefetch bound);
     /// `config.recovery` governs retry/quarantine exactly as on the
-    /// partition fleets. `prefetch`, `host_workers` and `link_capacity`
-    /// do not apply.
+    /// partition fleets. `host_workers` does not apply.
     ///
     /// # Errors
     ///
     /// Propagates footer enumeration failures ([`epoch_units`]).
     pub fn spawn(
-        plan: &crate::plan::PreprocessPlan,
+        plan: &PreprocessPlan,
         partitions: &[Partition],
         spec: ShuffleSpec,
         config: &FleetConfig,
@@ -380,7 +268,7 @@ impl ShuffledStream {
         let units = epoch_units(partitions)?;
         let cursor =
             EpochCursor { seed: spec.seed, epoch: spec.epoch, next: 0, units: units.len() as u64 };
-        Self::start(plan, partitions, units, cursor, config)
+        Ok(Self::start(plan, partitions, &units, cursor, config))
     }
 
     /// Resumes an epoch from a serialized [`EpochCursor`]: unit `next` of
@@ -393,7 +281,7 @@ impl ShuffledStream {
     /// grouping (a cursor from a different dataset or group size), plus
     /// anything [`ShuffledStream::spawn`] can raise.
     pub fn resume(
-        plan: &crate::plan::PreprocessPlan,
+        plan: &PreprocessPlan,
         partitions: &[Partition],
         cursor: EpochCursor,
         config: &FleetConfig,
@@ -409,90 +297,30 @@ impl ShuffledStream {
                 ),
             }));
         }
-        Self::start(plan, partitions, units, cursor, config)
+        Ok(Self::start(plan, partitions, &units, cursor, config))
     }
 
     fn start(
-        plan: &crate::plan::PreprocessPlan,
+        plan: &PreprocessPlan,
         partitions: &[Partition],
-        units: Vec<GroupRef>,
+        units: &[GroupRef],
         cursor: EpochCursor,
         config: &FleetConfig,
-    ) -> Result<ShuffledStream, PreprocessError> {
+    ) -> ShuffledStream {
         let order = epoch_order(units.len(), cursor.seed, cursor.epoch);
         let start = usize::try_from(cursor.next).unwrap_or(usize::MAX).min(order.len());
-        let workers = config.workers.max(1).min(units.len().max(1));
-        let capacity = config.capacity.max(1);
-        let devices: Vec<usize> = units.iter().map(|u| partitions[u.partition].device).collect();
-        let shared = Arc::new(ShuffleShared {
-            plan: plan.clone(),
-            partitions: partitions.to_vec(),
-            order,
-            claim: AtomicUsize::new(start),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, units.len()),
-            units,
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            started: Instant::now(),
-        });
-        let (tx, rx) = bounded::<SeqItem>(capacity);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("presto-shuffle-{worker}"))
-                    .spawn(shuffle_loop(Arc::clone(&shared), tx.clone()))
-                    .expect("spawn shuffle worker"),
-            );
-        }
-        drop(tx);
-        Ok(ShuffledStream {
-            rx: Some(rx),
-            handles,
-            shared,
-            pending: BinaryHeap::new(),
-            next_seq: start,
-            spec: ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch },
-            workers,
-            capacity,
-        })
+        let units = order.iter().map(|&i| (units[i].partition, units[i].group)).collect();
+        let order = ClaimOrder::Sequence { units, start };
+        let run = Run::new(plan.clone(), partitions.to_vec(), order, config.recovery.clone());
+        let inner = BatchStream::from_pipeline(run, RowGroups, config, Link::Inline)
+            .in_sequence_from(start);
+        ShuffledStream { inner, spec: ShuffleSpec { seed: cursor.seed, epoch: cursor.epoch } }
     }
 
     /// The shuffle spec this stream is running.
     #[must_use]
     pub fn spec(&self) -> ShuffleSpec {
         self.spec
-    }
-
-    /// Units (row groups) in the epoch.
-    #[must_use]
-    pub fn unit_count(&self) -> usize {
-        self.shared.units.len()
-    }
-
-    /// Effective worker count (after clamping).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Units fully preprocessed so far (producer-side counter).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Output-channel capacity — the prefetch bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Batches buffered ahead of the consumer, counting both the channel
-    /// and the reorder heap.
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len) + self.pending.len()
     }
 
     /// The resume checkpoint as of now: everything before the cursor has
@@ -504,41 +332,29 @@ impl ShuffledStream {
         EpochCursor {
             seed: self.spec.seed,
             epoch: self.spec.epoch,
-            next: self.next_seq as u64,
-            units: self.shared.units.len() as u64,
+            next: self.inner.next_seq() as u64,
+            units: self.inner.run.units() as u64,
         }
     }
 
-    /// Consolidated counters; queued counts both channel and reorder-heap
+    /// Consolidated counters; `queued` counts both channel and reorder-heap
     /// occupancy (batches buffered ahead of the consumer either way).
     #[must_use]
     pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.workers,
-            capacity: self.capacity,
-            queued: self.queued(),
-            completed: self.completed(),
-            p2p_bytes: 0,
-            boundary_bytes: 0,
-            recovery: Some(self.run_report()),
-        }
+        self.inner.stats()
     }
 
     /// Recovery-activity snapshot at row-group granularity (`partitions`
     /// in the report counts shuffle units).
     #[must_use]
     pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
+        self.inner.run_report()
     }
 
-    fn join_workers(&mut self) {
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
+    /// The underlying engine stream (sequence-ordered).
+    #[must_use]
+    pub fn into_inner(self) -> BatchStream {
+        self.inner
     }
 }
 
@@ -551,42 +367,25 @@ impl Iterator for ShuffledStream {
     /// draining the channel while waiting, so producers blocked on a full
     /// channel always make progress — no deadlock.
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(Reverse(head)) = self.pending.peek() {
-                if head.0 .0 == self.next_seq {
-                    let Reverse(BySeq((_, item))) =
-                        self.pending.pop().expect("peeked entry exists");
-                    self.next_seq += 1;
-                    return Some(item);
-                }
-            }
-            let received = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-            match received {
-                Some(item) => self.pending.push(Reverse(BySeq(item))),
-                None => {
-                    // Producers done. Flush any buffered tail in order; a
-                    // gap (possible only after a fail-fast stop) ends the
-                    // stream rather than delivering out of order.
-                    self.join_workers();
-                    let Reverse(BySeq((seq, item))) = self.pending.pop()?;
-                    if seq != self.next_seq {
-                        self.pending.clear();
-                        return None;
-                    }
-                    self.next_seq = seq + 1;
-                    return Some(item);
-                }
-            }
-        }
+        self.inner.next()
     }
 }
 
-impl Drop for ShuffledStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        // Disconnect so producers blocked on a full channel exit.
-        self.rx = None;
-        self.join_workers();
+impl BatchSource for ShuffledStream {
+    fn next_batch(&mut self) -> Option<Result<StreamedBatch, PreprocessError>> {
+        self.inner.next()
+    }
+
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn queued(&self) -> usize {
+        self.inner.queued()
+    }
+
+    fn stats(&self) -> StreamStats {
+        self.inner.stats()
     }
 }
 

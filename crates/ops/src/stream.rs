@@ -1,693 +1,84 @@
-//! Streaming pipelined execution: bounded channels, double-buffered
-//! Extract, and device-affine sharding.
+//! The host CPU fleet: streaming Extract → Transform → format over a
+//! bounded output channel.
 //!
-//! This is the true producer–consumer architecture of the paper's host
-//! baseline (Section II-D) and of Fig. 9's training loop: preprocessing
-//! workers *stream* finished mini-batches through a bounded channel to the
-//! consumer (the trainer), instead of materializing every batch under one
-//! lock and handing them over at the end — the stalled-trainer pattern
-//! Meta's ingestion study calls out. The first mini-batch reaches the
-//! consumer while later partitions are still being read.
+//! This is the producer–consumer architecture of the paper's host baseline
+//! (Section II-D) and of Fig. 9's training loop: preprocessing workers
+//! *stream* finished mini-batches through a bounded channel to the consumer
+//! (the trainer), so the first mini-batch reaches the consumer while later
+//! partitions are still being read, and in-flight memory is
+//! `O(capacity)`, not `O(partitions)`.
 //!
-//! Three mechanisms, one per ROADMAP item this module retires:
+//! [`BatchStream::spawn`] builds the host fleet on the [`engine`](crate::engine):
 //!
-//! * **Bounded output channel** — [`BatchStream::spawn`] returns a
-//!   [`BatchStream`] fed by a `capacity`-bounded MPSC channel (the vendored
-//!   `crossbeam-channel`). Producers block when the consumer falls behind,
-//!   so in-flight memory is `O(capacity)`, not `O(partitions)`. The
-//!   [`BatchStream::into_ordered`] adapter restores deterministic
-//!   partition order for consumers (and tests) that need it.
-//! * **Double-buffered Extract** — with [`FleetConfig::prefetch`] on, each
-//!   worker owns a prefetch thread that runs [`extract_partition_with`]
-//!   (the projected `read_at_into` reads + decode, staged through a
-//!   recycled [`ReadScratch`]) for partition *i + 1* while the worker
-//!   transforms partition *i*: a one-slot hand-off channel holds exactly
-//!   one extracted batch, so the two in-flight partitions are the two
-//!   buffers. `FsBlob`'s positioned `pread` makes the concurrent reads
-//!   safe across workers.
-//! * **Device-affine sharding** — partitions are queued per storage device
+//! * **Device-affine claims** — partitions are queued per storage device
 //!   (`Partition::device`, cf. `Dataset::partitions_on`); workers are
 //!   pinned round-robin to devices and steal cross-device only when their
 //!   home queue drains. Per-device in-flight counters record contention
-//!   when workers outnumber devices (see [`DeviceLoad`]).
+//!   when workers outnumber devices ([`BatchStream::device_report`]).
+//! * **Double-buffered Extract** — the unit pipeline is Extract, then
+//!   Transform and format, over a one-slot link per worker: each worker's
+//!   front thread runs [`extract_partition_with`] (projected
+//!   `read_at_into` reads and decode) for partition *i + 1* while its back
+//!   thread transforms partition *i*, so each worker holds exactly two
+//!   partitions in flight.
+//!   `FsBlob`'s positioned `pread` makes the concurrent reads safe across
+//!   workers.
 //!
-//! The same bounded-channel machinery also backs the hybrid
-//! split-placement fleet (`presto_core::split::stream_split_workers`),
-//! where the channel additionally models the ISP → host device link and
-//! carries typed boundary hand-offs instead of finished mini-batches.
-//!
-//! # Failure semantics
-//!
-//! Every surfaced error carries provenance — it is wrapped as
-//! [`PreprocessError::At`] with the failing partition index and device id —
-//! so a consumer draining a many-device fleet can tell *which* device
-//! failed without string parsing. What happens next is governed by the
-//! [`RetryPolicy`] in [`FleetConfig::recovery`]:
-//!
-//! * **Fail-fast** (the default, [`RetryPolicy::fail_fast`]): the first
-//!   worker error is forwarded into the stream as an `Err` item and the
-//!   shared stop flag halts every producer within one partition — the
-//!   original semantics, unchanged.
-//! * **Recovery** ([`RetryPolicy::recover`] or any custom policy): a failed
-//!   Extract attempt is retried up to [`RetryPolicy::max_attempts`] times
-//!   with capped exponential backoff, but only when the error is
-//!   *retryable* ([`PreprocessError::is_retryable`]: storage-side faults —
-//!   I/O errors, CRC mismatches from corrupt pages, truncated reads).
-//!   Deterministic plan/schema/shape errors surface immediately. Each
-//!   device carries a consecutive-failure circuit breaker
-//!   ([`RetryPolicy::quarantine_after`]): once tripped, workers stop
-//!   claiming attempts against the device and its remaining partitions
-//!   surface tagged errors instead of hanging the fleet — the host fleet
-//!   *is* the fallback path, so a dead host-visible device has nowhere to
-//!   fail over to (the ISP fleet in `presto_core::isp_worker` does fail
-//!   over, to this path). Attempts that outrun
-//!   [`RetryPolicy::straggler_deadline`] are counted post-hoc. With
-//!   `fail_fast: false` the fleet keeps streaming past per-partition
-//!   errors; every claimed partition ends as exactly one `Ok` batch or one
-//!   tagged `Err` — nothing is dropped silently, which
-//!   [`BatchStream::run_report`]'s accounting
-//!   (`delivered + failed_partitions == partitions`) makes checkable.
-//!
-//! Dropping the stream (even with a full channel) stops and joins the
-//! workers — no deadlock, verified by tests. [`BatchStream::run_report`]
-//! snapshots the run's recovery activity ([`RunReport`]: retries,
-//! quarantines, per-device fault counts, delivery timeline).
-//!
-//! [`run_workers`](crate::run_workers) is now a thin "drain the stream into
-//! a `Vec`" wrapper over this module, bit-identical to serial execution.
+//! The failure semantics (retry, quarantine, fail-fast) are the engine's;
+//! the host fleet is the fallback path itself, so it never fails over.
+//! [`run_workers`](crate::run_workers) is a thin "drain the stream into a
+//! `Vec`" wrapper over this module, bit-identical to serial execution.
 
-use crate::executor::{
-    extract_partition_with, preprocess_batch_owned, PreprocessError, ScratchSpace, StageTimings,
+use crate::engine::{
+    BatchStream, ClaimOrder, FleetConfig, Front, Link, Produced, Run, Unit, UnitPipeline,
 };
-use crate::minibatch::MiniBatch;
+use crate::executor::{
+    extract_partition_with, preprocess_batch_owned, PreprocessError, ScratchSpace,
+};
 use crate::plan::PreprocessPlan;
-use crate::recovery::{RecoveryTracker, RetryPolicy, RunReport};
-use crossbeam_channel::{bounded, Receiver, Sender};
-use presto_columnar::{ColumnarError, ReadScratch};
 use presto_datagen::{Partition, RowBatch};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Configuration shared by every fleet — host CPU, emulated ISP, and the
-/// hybrid split executor. One builder replaces the three divergent
-/// pre-unification entry points (`StreamConfig`, the positional
-/// `stream_isp_workers_with` arguments, and the 7-argument
-/// `stream_split_workers_with`).
-///
-/// # Recovery default — the single source of truth
-///
-/// Every fleet defaults to **fail-fast** failure handling
-/// ([`RetryPolicy::fail_fast`]): the first error is forwarded into the
-/// stream and the fleet halts within one partition. Opt into retry /
-/// quarantine / failover with [`FleetConfig::with_recovery`] — the same
-/// knob, with the same default, for all three fleets. (Before the
-/// unification the host fleet defaulted to fail-fast while the ISP and
-/// split fleets required an explicit policy at every call site.)
-///
-/// # Per-fleet knobs
-///
-/// `workers` and `capacity` mean the same thing on every fleet. `prefetch`
-/// only affects the host fleet (the ISP pipeline is inherently staged).
-/// `host_workers` and `link_capacity` only affect the split fleet: the
-/// host-side worker count (defaults to `workers`) and the bounded
-/// ISP → host hand-off channel modelling the device link (defaults to
-/// `capacity`).
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Worker (pipeline) count; clamped to `1..=partitions`. On the split
-    /// fleet this is the ISP-side unit count.
-    pub workers: usize,
-    /// Output-channel capacity in mini-batches; producers block when full.
-    pub capacity: usize,
-    /// Overlap Extract of the next partition with Transform of the current
-    /// one (host fleet only: one prefetch thread per worker,
-    /// double-buffered at the batch level through a one-slot hand-off
-    /// channel).
-    pub prefetch: bool,
-    /// Failure handling (retry, quarantine, straggler detection, ISP→host
-    /// failover); defaults to [`RetryPolicy::fail_fast`] on every fleet.
-    pub recovery: RetryPolicy,
-    /// Split fleet only: host-side worker count. `None` mirrors `workers`.
-    pub host_workers: Option<usize>,
-    /// Split fleet only: capacity of the bounded ISP → host hand-off
-    /// channel (the emulated device link). `None` mirrors `capacity`.
-    pub link_capacity: Option<usize>,
-}
+/// The host fleet's unit pipeline: Extract | Transform + format.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostPipeline;
 
-impl FleetConfig {
-    /// `workers` pipelines over a `capacity`-bounded channel, prefetch on,
-    /// fail-fast failure handling.
-    #[must_use]
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        FleetConfig {
-            workers,
-            capacity,
-            prefetch: true,
-            recovery: RetryPolicy::fail_fast(),
-            host_workers: None,
-            link_capacity: None,
-        }
+impl UnitPipeline for HostPipeline {
+    type Mid = (RowBatch, Duration);
+    type Read = ();
+
+    fn front(
+        &self,
+        run: &Run,
+        unit: &Unit,
+        scratch: &mut ScratchSpace,
+    ) -> Result<Front<Self::Mid>, PreprocessError> {
+        let blob = run.partition(unit).blob.clone();
+        extract_partition_with(run.plan(), blob, scratch.read_scratch()).map(Front::Handoff)
     }
 
-    /// Disables the Extract prefetch thread (host-fleet ablation switch).
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
+    fn back_read(&self, _: &Run, _: &Unit, _: &mut ScratchSpace) -> Result<(), PreprocessError> {
+        Ok(())
     }
 
-    /// Sets the failure-handling policy (all fleets).
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
-        self.recovery = recovery;
-        self
+    fn back(
+        &self,
+        run: &Run,
+        _: &Unit,
+        (rows, extract): Self::Mid,
+        (): (),
+    ) -> Result<Produced, PreprocessError> {
+        let (batch, mut timings) = preprocess_batch_owned(run.plan(), rows)?;
+        timings.extract = extract;
+        Ok((batch, timings))
     }
-
-    /// Sets the split fleet's host-side worker count.
-    #[must_use]
-    pub fn with_host_workers(mut self, host_workers: usize) -> Self {
-        self.host_workers = Some(host_workers);
-        self
-    }
-
-    /// Sets the split fleet's ISP → host hand-off channel capacity.
-    #[must_use]
-    pub fn with_link_capacity(mut self, link_capacity: usize) -> Self {
-        self.link_capacity = Some(link_capacity);
-        self
-    }
-
-    /// Effective host-side worker count for the split fleet.
-    #[must_use]
-    pub fn effective_host_workers(&self) -> usize {
-        self.host_workers.unwrap_or(self.workers)
-    }
-
-    /// Effective ISP → host link capacity for the split fleet.
-    #[must_use]
-    pub fn effective_link_capacity(&self) -> usize {
-        self.link_capacity.unwrap_or(self.capacity)
-    }
-}
-
-/// One snapshot of a streaming fleet's counters — the consolidated stats
-/// surface behind `BatchSource::stats()`, replacing the per-stream ad-hoc
-/// accessors (`BatchStream::queued()`, `IspBatchStream::p2p_bytes()`,
-/// `SplitBatchStream::boundary_bytes()`, fleet-specific `run_report()`s).
-///
-/// Counters that do not apply to a fleet are zero (`p2p_bytes` on the host
-/// fleet, `boundary_bytes` everywhere but the split fleet). `recovery` is
-/// `None` only for sources that do not track recovery at all (e.g. ad-hoc
-/// test sources using the trait's default implementation).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StreamStats {
-    /// Producer worker count (ISP-side units on the split fleet).
-    pub workers: usize,
-    /// Output-channel capacity in mini-batches.
-    pub capacity: usize,
-    /// Mini-batches buffered in the output channel right now.
-    pub queued: usize,
-    /// Partitions fully preprocessed so far (producer-side counter).
-    pub completed: usize,
-    /// Bytes moved over the emulated P2P / device link (ISP and split
-    /// fleets; the host fleet reads through the page cache and reports 0).
-    pub p2p_bytes: u64,
-    /// Bytes of typed boundary hand-offs crossing the split fleet's
-    /// ISP → host link (0 on single-fleet executors).
-    pub boundary_bytes: u64,
-    /// Recovery-activity snapshot (retries, quarantines, per-device fault
-    /// counts, delivery accounting), when the source tracks recovery.
-    pub recovery: Option<RunReport>,
-}
-
-/// Pre-unification host-fleet configuration.
-#[deprecated(since = "0.8.0", note = "use `FleetConfig` (one builder for all three fleets)")]
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Worker (pipeline) count; clamped to `1..=partitions`.
-    pub workers: usize,
-    /// Output-channel capacity in mini-batches; producers block when full.
-    pub capacity: usize,
-    /// Overlap Extract of the next partition with Transform of the current
-    /// one.
-    pub prefetch: bool,
-    /// Failure handling; defaults to [`RetryPolicy::fail_fast`].
-    pub recovery: RetryPolicy,
-}
-
-#[allow(deprecated)]
-impl StreamConfig {
-    /// `workers` pipelines over a `capacity`-bounded channel, prefetch on,
-    /// fail-fast failure handling.
-    #[must_use]
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        StreamConfig { workers, capacity, prefetch: true, recovery: RetryPolicy::fail_fast() }
-    }
-
-    /// Disables the Extract prefetch thread (ablation switch).
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
-    }
-
-    /// Sets the failure-handling policy.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RetryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// The equivalent [`FleetConfig`].
-    #[must_use]
-    pub fn to_fleet(&self) -> FleetConfig {
-        let mut config = FleetConfig::new(self.workers, self.capacity);
-        config.prefetch = self.prefetch;
-        config.recovery = self.recovery.clone();
-        config
-    }
-}
-
-/// One mini-batch as it leaves the pipeline.
-#[derive(Debug)]
-pub struct StreamedBatch {
-    /// Position of the source partition in the input slice.
-    pub partition: usize,
-    /// Row group within the partition this batch was decoded from. Fleets
-    /// that preprocess whole partitions at a time report group `0`; the
-    /// shuffled random-access stream reports the actual `PSTOCOL4` row
-    /// group index.
-    pub group: usize,
-    /// Storage device the partition lives on.
-    pub device: usize,
-    /// True when the partition was claimed off the producing worker's home
-    /// device (cross-device steal).
-    pub stolen: bool,
-    /// The preprocessed mini-batch.
-    pub batch: MiniBatch,
-    /// Per-stage wall-clock timings for this partition.
-    pub timings: StageTimings,
-    /// Producer-side delivery time, measured from stream start: stamped
-    /// when the finished batch is handed to the (possibly full) output
-    /// channel — the *supply* process, before consumer back-pressure.
-    /// Consecutive arrivals give the measured inter-arrival process that
-    /// drives the pipeline simulation
-    /// (`presto_core::pipeline::simulate_measured`, which applies queue
-    /// back-pressure itself); stamping at the consumer instead would fold
-    /// the consumer's own pacing into the trace and make the calibration
-    /// tautological.
-    pub arrived: Duration,
-    /// Extract attempts this batch took (1 = first try succeeded).
-    pub attempts: u32,
-    /// True when the batch was produced by the host failover path after
-    /// its home ISP device was quarantined (always false on the host
-    /// fleet, which is the fallback path).
-    pub via_failover: bool,
-}
-
-/// Load observed on one storage device during a streaming run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceLoad {
-    /// Device id (`Partition::device`).
-    pub device: usize,
-    /// Partitions resident on the device.
-    pub partitions: usize,
-    /// Peak simultaneously in-flight Extracts (claim until the projected
-    /// reads + decode finish — the window the device is actually busy).
-    /// Values above 1 mean workers contended for the device.
-    pub max_in_flight: usize,
-    /// Partitions taken from this device by workers homed elsewhere.
-    pub stolen_from: usize,
-}
-
-/// Per-device partition queues with affine claiming and cross-device
-/// stealing.
-#[derive(Debug)]
-struct DeviceQueues {
-    /// Sorted distinct device ids.
-    devices: Vec<usize>,
-    /// Slice positions per device slot, in partition order.
-    queues: Vec<Vec<usize>>,
-    /// Next unclaimed entry per device slot.
-    cursors: Vec<AtomicUsize>,
-    in_flight: Vec<AtomicUsize>,
-    max_in_flight: Vec<AtomicUsize>,
-    stolen_from: Vec<AtomicUsize>,
-}
-
-/// A claimed partition: slice position plus the bookkeeping needed to
-/// release the device when the batch is delivered.
-#[derive(Debug, Clone, Copy)]
-struct Claim {
-    pos: usize,
-    device_slot: usize,
-    stolen: bool,
-}
-
-impl DeviceQueues {
-    fn new(partitions: &[Partition]) -> Self {
-        let mut devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        if devices.is_empty() {
-            devices.push(0);
-        }
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); devices.len()];
-        for (pos, p) in partitions.iter().enumerate() {
-            let slot = devices.binary_search(&p.device).expect("device listed");
-            queues[slot].push(pos);
-        }
-        let n = devices.len();
-        DeviceQueues {
-            devices,
-            queues,
-            cursors: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            max_in_flight: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            stolen_from: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    fn slots(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Claims the next partition for a worker homed on `home`: the home
-    /// queue first, then the other devices round-robin (a steal).
-    fn claim(&self, home: usize) -> Option<Claim> {
-        let n = self.slots();
-        for k in 0..n {
-            let slot = (home + k) % n;
-            let idx = self.cursors[slot].fetch_add(1, Ordering::Relaxed);
-            if let Some(&pos) = self.queues[slot].get(idx) {
-                let now = self.in_flight[slot].fetch_add(1, Ordering::Relaxed) + 1;
-                self.max_in_flight[slot].fetch_max(now, Ordering::Relaxed);
-                let stolen = k != 0;
-                if stolen {
-                    self.stolen_from[slot].fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(Claim { pos, device_slot: slot, stolen });
-            }
-        }
-        None
-    }
-
-    fn release(&self, claim: Claim) {
-        self.in_flight[claim.device_slot].fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn report(&self) -> Vec<DeviceLoad> {
-        self.devices
-            .iter()
-            .enumerate()
-            .map(|(slot, &device)| DeviceLoad {
-                device,
-                partitions: self.queues[slot].len(),
-                max_in_flight: self.max_in_flight[slot].load(Ordering::Relaxed),
-                stolen_from: self.stolen_from[slot].load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-}
-
-/// State shared by every worker of one streaming run.
-#[derive(Debug)]
-struct SharedRun {
-    plan: PreprocessPlan,
-    partitions: Vec<Partition>,
-    queues: DeviceQueues,
-    /// Recovery policy enforcement and bookkeeping (retries, quarantine,
-    /// stragglers, the event log behind [`RunReport`]).
-    tracker: RecoveryTracker,
-    /// Raised on a fail-fast error (and on consumer drop); producers
-    /// observe it between partitions.
-    stop: AtomicBool,
-    /// Partitions fully preprocessed (before channel delivery).
-    completed: AtomicUsize,
-    /// Stream start; origin of every [`StreamedBatch::arrived`] stamp.
-    started: Instant,
-}
-
-type StreamItem = Result<StreamedBatch, PreprocessError>;
-
-/// Streams `partitions` through `workers` preprocessing pipelines with
-/// Extract prefetch on; see [`BatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `BatchStream::spawn` or `Fleet::Host.spawn`")]
-#[must_use]
-pub fn stream_workers(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    workers: usize,
-    capacity: usize,
-) -> BatchStream {
-    BatchStream::spawn(plan, partitions, &FleetConfig::new(workers, capacity))
-}
-
-/// Starts a streaming run from a pre-unification [`StreamConfig`]; see
-/// [`BatchStream::spawn`].
-#[deprecated(since = "0.8.0", note = "use `BatchStream::spawn` or `Fleet::Host.spawn`")]
-#[allow(deprecated)]
-#[must_use]
-pub fn stream_workers_with(
-    plan: &PreprocessPlan,
-    partitions: &[Partition],
-    config: &StreamConfig,
-) -> BatchStream {
-    BatchStream::spawn(plan, partitions, &config.to_fleet())
-}
-
-fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new().name(name).spawn(body).expect("spawn stream worker")
-}
-
-/// An extracted-but-not-yet-transformed partition.
-struct StagedExtract {
-    batch: RowBatch,
-    extract: Duration,
-    attempts: u32,
-}
-
-/// The tagged error a partition gets when its device is already
-/// quarantined at claim time: no attempt is made, but the partition is
-/// never dropped silently.
-fn quarantined_error(device: usize) -> PreprocessError {
-    PreprocessError::Extract(ColumnarError::Io {
-        detail: format!("device {device} quarantined (circuit breaker open)"),
-    })
-}
-
-/// Runs the Extract attempt loop for one claimed partition: retry with
-/// capped exponential backoff on retryable errors, straggler accounting
-/// per attempt, and a consecutive-failure circuit breaker per device.
-/// Returns the extraction result plus the number of attempts consumed.
-///
-/// Retries stop when the error is non-retryable, the attempt budget is
-/// exhausted, the device trips (or already tripped) quarantine, or the
-/// fleet is stopping.
-fn attempt_extract(
-    shared: &SharedRun,
-    claim: Claim,
-    scratch: &mut ReadScratch,
-) -> (Result<(RowBatch, Duration), PreprocessError>, u32) {
-    let partition = &shared.partitions[claim.pos];
-    let slot = shared.tracker.slot_of(partition.device);
-    if shared.tracker.is_quarantined(slot) {
-        return (Err(quarantined_error(partition.device)), 0);
-    }
-    let policy = shared.tracker.policy();
-    let mut attempt = 1u32;
-    loop {
-        let t0 = Instant::now();
-        let result = extract_partition_with(&shared.plan, partition.blob.clone(), scratch);
-        shared.tracker.check_straggler(slot, claim.pos, t0.elapsed());
-        match result {
-            Ok(extracted) => return (Ok(extracted), attempt),
-            Err(e) => {
-                shared.tracker.note_fault(slot, claim.pos);
-                let retry = e.is_retryable()
-                    && attempt < policy.max_attempts
-                    && !shared.tracker.is_quarantined(slot)
-                    && !shared.stop.load(Ordering::Relaxed);
-                if !retry {
-                    return (Err(e), attempt);
-                }
-                attempt += 1;
-                let backoff = shared.tracker.note_retry(slot, claim.pos, attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    }
-}
-
-/// Prefetcher body: claim → Extract (with retries) → hand off.
-///
-/// The double buffering is at the *batch* level: the one-slot `stage_tx`
-/// holds one fully extracted (owned) batch while this thread reads the
-/// next, so each worker keeps exactly two partitions in flight — one
-/// transforming, one extracting. Extracts here are strictly sequential, so
-/// a single recycled `ReadScratch` suffices for chunk staging (the
-/// `RowBatch` handed off owns its decoded columns and never borrows it).
-fn prefetch_loop(
-    shared: Arc<SharedRun>,
-    home: usize,
-    stage_tx: Sender<(Claim, Result<StagedExtract, PreprocessError>)>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut scratch = ReadScratch::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let Some(claim) = shared.queues.claim(home) else { break };
-            let (extracted, attempts) = attempt_extract(&shared, claim, &mut scratch);
-            let result =
-                extracted.map(|(batch, extract)| StagedExtract { batch, extract, attempts });
-            // The device is done with this partition once Extract returns.
-            shared.queues.release(claim);
-            let failed = result.is_err();
-            if stage_tx.send((claim, result)).is_err()
-                || (failed && shared.tracker.policy().fail_fast)
-            {
-                break;
-            }
-        }
-    }
-}
-
-/// Transform-worker body for the prefetch pipeline: staged batch →
-/// Transform + format → consumer channel.
-fn transform_loop(
-    shared: Arc<SharedRun>,
-    stage_rx: Receiver<(Claim, Result<StagedExtract, PreprocessError>)>,
-    tx: Sender<StreamItem>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        while let Ok((claim, staged)) = stage_rx.recv() {
-            let mut attempts = 0u32;
-            let produced = staged.and_then(|s| {
-                attempts = s.attempts;
-                let (batch, mut timings) = preprocess_batch_owned(&shared.plan, s.batch)?;
-                timings.extract = s.extract;
-                Ok((batch, timings))
-            });
-            if !deliver(&shared, &tx, claim, produced, attempts.max(1)) {
-                break;
-            }
-        }
-    }
-}
-
-/// Fused worker body (prefetch off): claim → full pipeline → consumer.
-fn fused_loop(
-    shared: Arc<SharedRun>,
-    home: usize,
-    tx: Sender<StreamItem>,
-) -> impl FnOnce() + Send + 'static {
-    move || {
-        let mut scratch = ScratchSpace::new();
-        while !shared.stop.load(Ordering::Relaxed) {
-            let Some(claim) = shared.queues.claim(home) else { break };
-            // Same split as the prefetch pipeline (Extract, then owned
-            // Transform) so the device in-flight window means the same
-            // thing in both modes.
-            let (extracted, attempts) = attempt_extract(&shared, claim, scratch.read_scratch());
-            shared.queues.release(claim);
-            let produced = extracted.and_then(|(batch, extract)| {
-                let (mb, mut timings) = preprocess_batch_owned(&shared.plan, batch)?;
-                timings.extract = extract;
-                Ok((mb, timings))
-            });
-            if !deliver(&shared, &tx, claim, produced, attempts.max(1)) {
-                break;
-            }
-        }
-    }
-}
-
-/// Forwards the result to the consumer; returns false when the worker
-/// should stop (fail-fast error produced or consumer gone). The device
-/// claim has already been released at the end of Extract. Every error is
-/// tagged with its failure site ([`PreprocessError::At`]) before delivery.
-fn deliver(
-    shared: &SharedRun,
-    tx: &Sender<StreamItem>,
-    claim: Claim,
-    produced: Result<(MiniBatch, StageTimings), PreprocessError>,
-    attempts: u32,
-) -> bool {
-    let partition = &shared.partitions[claim.pos];
-    let slot = shared.tracker.slot_of(partition.device);
-    match produced {
-        Ok((batch, timings)) => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            shared.tracker.note_delivered(slot, claim.pos, false);
-            let item = StreamedBatch {
-                partition: claim.pos,
-                group: 0,
-                device: partition.device,
-                stolen: claim.stolen,
-                batch,
-                timings,
-                // Stamped at delivery (before a possibly blocking send):
-                // the supply process, unthrottled by the consumer.
-                arrived: shared.started.elapsed(),
-                attempts,
-                via_failover: false,
-            };
-            tx.send(Ok(item)).is_ok()
-        }
-        Err(e) => {
-            shared.tracker.note_failed(slot, claim.pos);
-            let e = e.with_location(claim.pos, partition.device);
-            if shared.tracker.policy().fail_fast {
-                // Raise the stop flag *before* blocking on the (possibly
-                // full) channel, so sibling producers halt within one
-                // partition even if the consumer is slow.
-                shared.stop.store(true, Ordering::Relaxed);
-                let _ = tx.send(Err(e));
-                false
-            } else {
-                // Graceful degradation: surface this partition's error
-                // inline and keep streaming the rest.
-                tx.send(Err(e)).is_ok()
-            }
-        }
-    }
-}
-
-/// Inter-arrival gaps computed from a drained stream's
-/// [`StreamedBatch::arrived`] delivery stamps (receive order; producers
-/// racing into the channel can invert neighboring stamps, which saturates
-/// to a zero gap). This is the measured supply process
-/// `presto_core::pipeline::simulate_measured` replays to calibrate the
-/// trainer simulation against the real executor.
-#[must_use]
-pub fn inter_arrivals(arrivals: &[Duration]) -> Vec<Duration> {
-    arrivals.windows(2).map(|w| w[1].saturating_sub(w[0])).collect()
-}
-
-/// The consumer's end of a streaming run: an iterator of
-/// `Result<StreamedBatch, PreprocessError>` in completion order.
-///
-/// Dropping the stream stops the producers (stop flag + channel disconnect)
-/// and joins every worker thread; no batches leak and nothing deadlocks
-/// even when the channel is full.
-#[derive(Debug)]
-pub struct BatchStream {
-    rx: Option<Receiver<StreamItem>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Arc<SharedRun>,
-    workers: usize,
-    capacity: usize,
-    prefetch: bool,
 }
 
 impl BatchStream {
     /// Starts a host-fleet streaming run and returns the consumer's end of
-    /// the pipeline.
+    /// the pipeline: `config.workers` Extract/Transform worker pairs
+    /// (clamped to the partition count) over device-affine claims, feeding
+    /// a `config.capacity`-bounded channel.
     ///
     /// Mini-batches are yielded **as they complete**, tagged with their
     /// partition index; wrap with [`BatchStream::into_ordered`] for
@@ -700,245 +91,22 @@ impl BatchStream {
         partitions: &[Partition],
         config: &FleetConfig,
     ) -> BatchStream {
-        let workers = config.workers.max(1).min(partitions.len().max(1));
-        let capacity = config.capacity.max(1);
-        let devices: Vec<usize> = partitions.iter().map(|p| p.device).collect();
-        let shared = Arc::new(SharedRun {
-            plan: plan.clone(),
-            partitions: partitions.to_vec(),
-            queues: DeviceQueues::new(partitions),
-            tracker: RecoveryTracker::new(config.recovery.clone(), &devices, partitions.len()),
-            stop: AtomicBool::new(false),
-            completed: AtomicUsize::new(0),
-            started: Instant::now(),
-        });
-        let (tx, rx) = bounded::<StreamItem>(capacity);
-
-        let mut handles = Vec::with_capacity(workers * 2);
-        for worker in 0..workers {
-            let home = worker % shared.queues.slots();
-            if config.prefetch {
-                // Pipeline pair: prefetcher extracts partition i+1 while the
-                // transform worker processes partition i. The one-slot
-                // hand-off bounds each worker to a single extracted batch in
-                // flight.
-                let (stage_tx, stage_rx) =
-                    bounded::<(Claim, Result<StagedExtract, PreprocessError>)>(1);
-                handles.push(spawn_named(
-                    format!("presto-prefetch-{worker}"),
-                    prefetch_loop(Arc::clone(&shared), home, stage_tx),
-                ));
-                handles.push(spawn_named(
-                    format!("presto-stream-{worker}"),
-                    transform_loop(Arc::clone(&shared), stage_rx, tx.clone()),
-                ));
-            } else {
-                handles.push(spawn_named(
-                    format!("presto-stream-{worker}"),
-                    fused_loop(Arc::clone(&shared), home, tx.clone()),
-                ));
-            }
-        }
-        drop(tx); // the workers' clones are now the only senders
-
-        BatchStream { rx: Some(rx), handles, shared, workers, capacity, prefetch: config.prefetch }
-    }
-
-    /// Consolidated counters ([`StreamStats`]); the host fleet reports no
-    /// P2P or boundary traffic.
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            workers: self.workers,
-            capacity: self.capacity,
-            queued: self.queued(),
-            completed: self.completed(),
-            p2p_bytes: 0,
-            boundary_bytes: 0,
-            recovery: Some(self.run_report()),
-        }
-    }
-
-    /// Effective worker count (after clamping).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Effective channel capacity (after clamping).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Whether Extract prefetch is active.
-    #[must_use]
-    pub fn prefetch(&self) -> bool {
-        self.prefetch
-    }
-
-    /// Partitions fully preprocessed so far (producer-side counter; a
-    /// consumer can compare it against the partition count to observe
-    /// streaming overlap).
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
-    }
-
-    /// Mini-batches currently buffered in the output channel — the
-    /// consumer-side queue occupancy at the instant of the call. A trainer
-    /// sampling this on every pull builds the queue-occupancy histogram
-    /// that shows whether producers ran ahead (queue full) or the consumer
-    /// starved (queue empty).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.rx.as_ref().map_or(0, Receiver::len)
-    }
-
-    /// Per-device load snapshot (final after the stream is drained).
-    #[must_use]
-    pub fn device_report(&self) -> Vec<DeviceLoad> {
-        self.shared.queues.report()
-    }
-
-    /// Recovery-activity snapshot ([`RunReport`]: retries, quarantines,
-    /// per-device fault counts, delivery timeline). Final once the stream
-    /// is drained; callable mid-stream for live monitoring.
-    #[must_use]
-    pub fn run_report(&self) -> RunReport {
-        self.shared.tracker.report()
-    }
-
-    /// Adapts the stream to yield batches in partition order, buffering
-    /// out-of-order arrivals; output is bit-identical to serial execution.
-    ///
-    /// # Semantics after a mid-stream error
-    ///
-    /// Errors are **not** reordered: an `Err` item is yielded as soon as
-    /// the underlying stream produces it, ahead of any buffered
-    /// out-of-order batches. Under the fail-fast policy this means every
-    /// batch of a partition index *below* the failed one that completed
-    /// before the stop is still delivered in order, the error is surfaced
-    /// exactly once, and iteration then ends after flushing stragglers —
-    /// even with a full (capacity-1) output channel, since dropping or
-    /// draining the inner stream disconnects the channel before joining
-    /// workers. Under a `fail_fast: false` policy the error is yielded
-    /// inline and ordered iteration continues; the failed partition index
-    /// is simply skipped by the order cursor when its turn comes (it can
-    /// never arrive), which the flush path handles.
-    #[must_use]
-    pub fn into_ordered(self) -> OrderedBatchStream {
-        OrderedBatchStream { inner: self, next_index: 0, pending: BinaryHeap::new() }
-    }
-
-    fn join_workers(&mut self) {
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                if !std::thread::panicking() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for BatchStream {
-    type Item = StreamItem;
-
-    fn next(&mut self) -> Option<StreamItem> {
-        let item = self.rx.as_ref().and_then(|rx| rx.recv().ok());
-        match item {
-            Some(item) => Some(item),
-            None => {
-                // All senders gone: the run is over; reap the threads.
-                self.join_workers();
-                None
-            }
-        }
-    }
-}
-
-impl Drop for BatchStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        // Disconnect the channel so producers blocked on a full queue fail
-        // their send and exit instead of deadlocking.
-        self.rx = None;
-        self.join_workers();
-    }
-}
-
-/// Min-heap entry ordered by partition index.
-struct ByPartition(StreamedBatch);
-
-impl PartialEq for ByPartition {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.partition == other.0.partition
-    }
-}
-impl Eq for ByPartition {}
-impl PartialOrd for ByPartition {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByPartition {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partition.cmp(&other.0.partition)
-    }
-}
-
-/// [`BatchStream`] adapter restoring partition order (see
-/// [`BatchStream::into_ordered`]).
-pub struct OrderedBatchStream {
-    inner: BatchStream,
-    next_index: usize,
-    pending: BinaryHeap<Reverse<ByPartition>>,
-}
-
-impl OrderedBatchStream {
-    /// The underlying completion-order stream (for its accessors).
-    #[must_use]
-    pub fn get_ref(&self) -> &BatchStream {
-        &self.inner
-    }
-}
-
-impl Iterator for OrderedBatchStream {
-    type Item = StreamItem;
-
-    fn next(&mut self) -> Option<StreamItem> {
-        loop {
-            if let Some(Reverse(head)) = self.pending.peek() {
-                if head.0.partition == self.next_index {
-                    let Reverse(ByPartition(batch)) =
-                        self.pending.pop().expect("peeked entry exists");
-                    self.next_index += 1;
-                    return Some(Ok(batch));
-                }
-            }
-            match self.inner.next() {
-                Some(Ok(batch)) if batch.partition == self.next_index => {
-                    self.next_index += 1;
-                    return Some(Ok(batch));
-                }
-                Some(Ok(batch)) => self.pending.push(Reverse(ByPartition(batch))),
-                Some(Err(e)) => return Some(Err(e)),
-                None => {
-                    // Stream over: flush whatever arrived out of order
-                    // (only reachable with gaps after an early stop).
-                    let Reverse(ByPartition(batch)) = self.pending.pop()?;
-                    self.next_index = batch.partition + 1;
-                    return Some(Ok(batch));
-                }
-            }
-        }
+        let run = Run::new(
+            plan.clone(),
+            partitions.to_vec(),
+            ClaimOrder::Affine,
+            config.recovery.clone(),
+        );
+        BatchStream::from_pipeline(run, HostPipeline, config, Link::Paired)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::inter_arrivals;
+    use crate::minibatch::MiniBatch;
+    use crate::recovery::RetryPolicy;
     use presto_datagen::{generate_batch, write_partition, Dataset, RmConfig};
 
     fn tiny_config(rows: usize) -> RmConfig {
@@ -962,15 +130,12 @@ mod tests {
             .iter()
             .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
             .collect();
-        for prefetch in [true, false] {
-            let mut config = FleetConfig::new(3, 2);
-            config.prefetch = prefetch;
-            let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, ds.partitions(), &config)
+        let streamed: Vec<MiniBatch> =
+            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(3, 2))
                 .into_ordered()
                 .map(|item| item.unwrap().batch)
                 .collect();
-            assert_eq!(streamed, serial, "prefetch={prefetch}");
-        }
+        assert_eq!(streamed, serial);
     }
 
     #[test]
@@ -996,7 +161,7 @@ mod tests {
         let mut stream = BatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4));
         let first = stream.next().expect("stream yields").expect("no error");
         assert!(
-            stream.completed() < partitions.len(),
+            stream.stats().completed < partitions.len(),
             "first batch must arrive while other partitions are unfinished"
         );
         assert_ne!(first.partition, 0, "the slow partition cannot be first");
@@ -1013,8 +178,7 @@ mod tests {
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
         // One worker homed on device 0 must still process everything —
         // 2 affine claims + 6 steals.
-        let stream =
-            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8).without_prefetch());
+        let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(1, 8));
         let mut stolen = 0usize;
         let mut total = 0usize;
         let report = {
@@ -1081,8 +245,8 @@ mod tests {
         // Truncate partition 2's blob mid-file.
         let bytes = partitions[2].blob.as_bytes().to_vec();
         partitions[2].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 3].to_vec());
-        // One worker, no prefetch: claims run 0, 1, 2, ... deterministically.
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        // One worker: claims run 0, 1, 2, ... deterministically.
+        let config = FleetConfig::new(1, 1);
         let mut stream = BatchStream::spawn(&plan, &partitions, &config);
         let mut ok = 0usize;
         let mut errors = 0usize;
@@ -1102,7 +266,7 @@ mod tests {
         }
         assert_eq!((ok, errors), (2, 1), "batches before the error, then the error, then end");
         assert_eq!(
-            stream.completed(),
+            stream.stats().completed,
             2,
             "the stop flag must halt the producer within one partition"
         );
@@ -1127,7 +291,7 @@ mod tests {
     fn capacity_one_applies_back_pressure() {
         let (c, ds) = dataset(8, 16, 1);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        let config = FleetConfig::new(1, 1);
         let mut stream = BatchStream::spawn(&plan, ds.partitions(), &config);
         let mut taken = 0usize;
         while let Some(item) = stream.next() {
@@ -1136,11 +300,10 @@ mod tests {
             // With one producer and capacity 1, the pipeline can never run
             // more than (queued = 1) + (blocked in send = 1) ahead of the
             // consumer, no matter how slowly we drain.
+            let completed = stream.stats().completed;
             assert!(
-                stream.completed() <= taken + 2,
-                "producer ran ahead: completed {} after {} taken",
-                stream.completed(),
-                taken
+                completed <= taken + 2,
+                "producer ran ahead: completed {completed} after {taken} taken"
             );
             std::thread::yield_now();
         }
@@ -1173,9 +336,9 @@ mod tests {
         let mut partitions = ds.partitions().to_vec();
         let bytes = partitions[3].blob.as_bytes().to_vec();
         partitions[3].blob = presto_columnar::MemBlob::new(bytes[..bytes.len() / 2].to_vec());
-        // One worker, no prefetch, capacity 1 (the worst case for a
-        // deadlock): claims run 0, 1, 2, 3 deterministically.
-        let config = FleetConfig::new(1, 1).without_prefetch();
+        // One worker, capacity 1 (the worst case for a deadlock): claims
+        // run 0, 1, 2, 3 deterministically.
+        let config = FleetConfig::new(1, 1);
         let mut delivered = Vec::new();
         let mut errors = 0usize;
         for item in BatchStream::spawn(&plan, &partitions, &config).into_ordered() {
@@ -1224,7 +387,7 @@ mod tests {
         let config = FleetConfig::new(3, 2).with_recovery(recovery);
         let mut s = BatchStream::spawn(&plan, &partitions, &config).into_ordered();
         let streamed: Vec<MiniBatch> = s.by_ref().map(|i| i.unwrap().batch).collect();
-        let report = s.get_ref().run_report();
+        let report = s.run_report();
         assert_eq!(streamed, serial, "recovered stream must be bit-identical");
         assert!(injector.stats().transient > 0, "the plan must actually have injected faults");
         assert_eq!(report.retries, report.faults, "every fault was retried");
@@ -1314,7 +477,6 @@ mod tests {
         let stream = BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(64, 0));
         assert_eq!(stream.workers(), 2);
         assert_eq!(stream.capacity(), 1);
-        assert!(stream.prefetch());
         assert_eq!(stream.count(), 2);
     }
 
@@ -1337,32 +499,7 @@ mod tests {
     fn fleet_config_split_knobs_mirror_the_shared_ones_by_default() {
         let config = FleetConfig::new(3, 5);
         assert_eq!(config.effective_host_workers(), 3);
-        assert_eq!(config.effective_link_capacity(), 5);
-        let config = config.with_host_workers(2).with_link_capacity(9);
+        let config = config.with_host_workers(2);
         assert_eq!(config.effective_host_workers(), 2);
-        assert_eq!(config.effective_link_capacity(), 9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_still_spawn_the_same_fleet() {
-        let (c, ds) = dataset(3, 16, 1);
-        let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let via_new: Vec<MiniBatch> =
-            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2))
-                .into_ordered()
-                .map(|i| i.unwrap().batch)
-                .collect();
-        let via_old: Vec<MiniBatch> = stream_workers(&plan, ds.partitions(), 2, 2)
-            .into_ordered()
-            .map(|i| i.unwrap().batch)
-            .collect();
-        let via_config: Vec<MiniBatch> =
-            stream_workers_with(&plan, ds.partitions(), &StreamConfig::new(2, 2))
-                .into_ordered()
-                .map(|i| i.unwrap().batch)
-                .collect();
-        assert_eq!(via_old, via_new);
-        assert_eq!(via_config, via_new);
     }
 }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto::columnar::{FaultInjector, FaultPlan};
-use presto::core::{IspBatchStream, Trainer, TrainerConfig};
+use presto::core::{Fleet, Trainer, TrainerConfig};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::metrics::{samples_per_sec, TextTable};
 use presto::ops::{
@@ -97,7 +97,7 @@ fn main() {
                 trainer.run(BatchStream::spawn(&plan, &partitions, &cfg))
             } else {
                 let cfg = FleetConfig::new(2, 4).with_recovery(policy.clone());
-                trainer.run(IspBatchStream::spawn(&plan, &partitions, &cfg))
+                trainer.run(Fleet::Isp.stream(&plan, &partitions, &cfg))
             }
             .expect("recovered run completes");
             let report_recovery = report.recovery().cloned();
@@ -123,7 +123,7 @@ fn main() {
     let partitions = armed(&dataset, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
     let mut stream =
-        IspBatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
+        Fleet::Isp.stream(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
     let mut batches: Vec<(usize, bool, MiniBatch)> = stream
         .by_ref()
         .map(|item| item.expect("failover completes every partition"))

@@ -19,7 +19,7 @@
 //! (CI uses tiny values to catch example rot cheaply).
 
 use presto::core::placement::{place_stages, OpCostModel};
-use presto::core::IspBatchStream;
+use presto::core::Fleet;
 use presto::datagen::{Dataset, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
@@ -82,14 +82,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // feature buffers).
         let t0 = Instant::now();
         let mut isp_stream =
-            IspBatchStream::spawn(&plan, dataset.partitions(), &FleetConfig::new(2, 4));
+            Fleet::Isp.stream(&plan, dataset.partitions(), &FleetConfig::new(2, 4));
         let mut isp: Vec<(usize, MiniBatch)> = Vec::new();
         for item in isp_stream.by_ref() {
             let b = item?;
             isp.push((b.partition, b.batch));
         }
         let isp_time = t0.elapsed();
-        let p2p = isp_stream.p2p_bytes();
+        let p2p = isp_stream.stats().p2p_bytes;
         isp.sort_by_key(|(p, _)| *p);
         let isp: Vec<MiniBatch> = isp.into_iter().map(|(_, b)| b).collect();
         assert_eq!(isp, serial, "{name}: ISP fleet must match serial");

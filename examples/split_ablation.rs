@@ -34,7 +34,7 @@
 
 use presto::columnar::ReadScratch;
 use presto::core::placement::{place_stages, OpCostModel};
-use presto::core::{IspBatchStream, SplitBatchStream};
+use presto::core::Fleet;
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::hwsim::fpga::IspModel;
 use presto::ops::{
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let placement = place_stages(&plan, rows, &model);
         let split = plan.split(&placement.fleet_assignment())?;
         let warm = FleetConfig::new(2, 4).with_host_workers(2);
-        for item in SplitBatchStream::spawn(&plan, &split, &slow, &warm) {
+        for item in Fleet::Split(split).stream(&plan, &slow, &warm) {
             item?;
         }
         for item in BatchStream::spawn(&plan, &slow, &FleetConfig::new(2, 4)) {
@@ -128,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ISP-only fleet.
         let t0 = Instant::now();
-        let mut isp_stream = IspBatchStream::spawn(&plan, &slow, &FleetConfig::new(2, 4));
+        let mut isp_stream = Fleet::Isp.stream(&plan, &slow, &FleetConfig::new(2, 4));
         let mut isp: Vec<(usize, MiniBatch)> = Vec::new();
         for item in isp_stream.by_ref() {
             let b = item?;
@@ -144,7 +144,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Hybrid split fleet: ISP prefix pipelined against host suffix.
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4).with_host_workers(2);
-        let mut split_stream = SplitBatchStream::spawn(&plan, &split, &slow, &split_config);
+        let mut split_stream = Fleet::Split(split.clone()).stream(&plan, &slow, &split_config);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
         for item in split_stream.by_ref() {
             let b = item?;
@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             hybrid.push((b.partition, b.batch));
         }
         let split_time = t0.elapsed();
-        let measured_boundary = split_stream.boundary_bytes();
+        let measured_boundary = split_stream.stats().boundary_bytes;
         hybrid.sort_by_key(|(p, _)| *p);
         for (pos, batch) in &hybrid {
             assert_eq!(batch, &serial[*pos], "{name}: split partition {pos} must match");
@@ -327,7 +327,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let t0 = Instant::now();
         let split_config = FleetConfig::new(2, 4).with_host_workers(2);
         let mut hybrid: Vec<(usize, MiniBatch)> = Vec::new();
-        for item in SplitBatchStream::spawn(&plan, &split, &ls_slow, &split_config) {
+        for item in Fleet::Split(split).stream(&plan, &ls_slow, &split_config) {
             let b = item?;
             hybrid.push((b.partition, b.batch));
         }

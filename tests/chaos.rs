@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use presto::columnar::{FaultInjector, FaultPlan};
-use presto::core::{IspBatchStream, Trainer, TrainerConfig};
+use presto::core::{BatchSource, Fleet, Trainer, TrainerConfig};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::ops::{
     preprocess_partition, BatchStream, FleetConfig, MiniBatch, PreprocessPlan, RetryPolicy,
@@ -76,7 +76,7 @@ fn host_fleet_transient_faults_stream_bit_identical() {
     let config = FleetConfig::new(3, 2).with_recovery(transient_policy());
     let mut s = BatchStream::spawn(&plan, &partitions, &config).into_ordered();
     let streamed: Vec<MiniBatch> = s.by_ref().map(|i| i.unwrap().batch).collect();
-    let report = s.get_ref().run_report();
+    let report = s.run_report();
 
     assert_eq!(streamed, serial, "recovered host stream must be bit-identical");
     assert!(injector.stats().transient > 0, "the seed must actually inject faults");
@@ -93,7 +93,7 @@ fn isp_fleet_transient_faults_stream_bit_identical() {
 
     let injector = FaultPlan::new(fault_seed()).with_transient_rate(0.08).arm();
     let partitions = armed(&ds, &injector);
-    let mut stream = IspBatchStream::spawn(
+    let mut stream = Fleet::Isp.stream(
         &plan,
         &partitions,
         &FleetConfig::new(2, 2).with_recovery(transient_policy()),
@@ -141,7 +141,7 @@ fn dead_isp_device_fails_over_bit_identically_and_reports_it() {
     let partitions = armed(&ds, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
     let mut stream =
-        IspBatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
+        Fleet::Isp.stream(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
     let mut batches: Vec<(usize, bool, MiniBatch)> = stream
         .by_ref()
         .map(|i| i.unwrap())
@@ -171,7 +171,7 @@ fn quarantine_without_failover_drops_nothing_silently() {
     let policy =
         RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2).with_failover(false);
     let mut stream =
-        IspBatchStream::spawn(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
+        Fleet::Isp.stream(&plan, &partitions, &FleetConfig::new(2, 4).with_recovery(policy));
     let mut ok = 0usize;
     let mut errors = Vec::new();
     for item in stream.by_ref() {
@@ -283,4 +283,159 @@ fn multi_tenant_device_death_degrades_only_the_victim_job() {
     assert!(healthy_report.recovery.clean(), "quarantine must not leak to the healthy job");
     assert_eq!(healthy_report.delivered as usize, ds.partitions().len());
     assert!(healthy_report.goodput_rows_per_sec > 0.0, "healthy goodput stays measurable");
+}
+
+/// Stage tags alternating ISP/host, starting on the ISP side: every split
+/// boundary crosses the device link.
+fn alternating_split(plan: &PreprocessPlan) -> presto::ops::SplitPlan {
+    let tags: Vec<presto::ops::Fleet> = (0..plan.stages().len())
+        .map(|i| if i % 2 == 0 { presto::ops::Fleet::Isp } else { presto::ops::Fleet::Host })
+        .collect();
+    plan.split(&tags).expect("alternating split")
+}
+
+#[test]
+fn split_fleet_host_side_gets_its_own_retry_budget() {
+    // A fixed fault schedule (seed 31, 5% transient faults per read) in
+    // which some partitions spend many attempts on their ISP prefix and
+    // then need several more for the host suffix's own reads. Each segment
+    // has its own 16-attempt budget, so every partition recovers; a host
+    // side that inherited the attempts its ISP side had already spent would
+    // run out and surface two of them as errors on this schedule.
+    let (c, ds) = dataset(8, 24, 2);
+    let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+    let serial = serial_reference(&plan, &ds);
+
+    let injector = FaultPlan::new(31).with_transient_rate(0.05).arm();
+    let partitions = armed(&ds, &injector);
+    let policy = RetryPolicy::recover()
+        .with_max_attempts(16)
+        .with_backoff(Duration::ZERO, Duration::ZERO)
+        .with_quarantine_after(0)
+        .with_failover(false);
+    let fleet = Fleet::Split(alternating_split(&plan));
+    let mut source = fleet.spawn(&plan, &partitions, &FleetConfig::new(2, 2).with_recovery(policy));
+    let mut batches: Vec<(usize, MiniBatch)> = Vec::new();
+    while let Some(item) = source.next_batch() {
+        let b = item.expect("each segment's own budget recovers every partition");
+        batches.push((b.partition, b.batch));
+    }
+    batches.sort_by_key(|(pos, _)| *pos);
+    let streamed: Vec<MiniBatch> = batches.into_iter().map(|(_, b)| b).collect();
+    let report = source.stats().recovery.expect("split fleet reports recovery");
+
+    assert_eq!(streamed, serial, "recovered split stream must be bit-identical");
+    assert!(injector.stats().transient > 0, "the schedule must actually inject faults");
+    assert!(report.failed_partitions.is_empty());
+    assert_eq!(report.delivered as usize, report.partitions);
+    assert_eq!(report.retries, report.faults, "every fault was retried");
+}
+
+/// Runs `teardown` on a watchdog thread: it must stop and join every
+/// worker, so it returns promptly instead of hanging the suite.
+fn joins_promptly(label: &str, teardown: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        teardown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+        "{label}: tearing down after one batch must join every worker"
+    );
+}
+
+/// Drains `source` and checks the streaming invariants every fleet and the
+/// service share: each unit is delivered at most once, every delivered
+/// batch equals the serial pass over its rows, and the recovery report
+/// accounts for every unit (`delivered + failed == units`).
+fn check_invariants(
+    label: &str,
+    source: &mut dyn BatchSource,
+    serial: &[MiniBatch],
+    group_rows: usize,
+) {
+    let mut seen = std::collections::HashSet::new();
+    let (mut items, mut errors) = (0usize, 0usize);
+    while let Some(item) = source.next_batch() {
+        items += 1;
+        let Ok(b) = item else {
+            errors += 1;
+            continue;
+        };
+        assert!(seen.insert((b.partition, b.group)), "{label}: unit delivered twice");
+        let want = serial[b.partition].slice_rows(b.group * group_rows, b.batch.rows()).unwrap();
+        assert_eq!(b.batch, want, "{label}: partition {} group {}", b.partition, b.group);
+    }
+    let report = source.stats().recovery.expect("every fleet and job reports recovery");
+    if report.partitions == 0 {
+        // A spawn-time failure — the shuffled fleet's row-group footers
+        // unreadable — claims no unit and surfaces as exactly one error.
+        assert_eq!((items, errors), (1, 1), "{label}: a failed spawn yields one error");
+        return;
+    }
+    assert_eq!(
+        report.delivered as usize + report.failed_partitions.len(),
+        report.partitions,
+        "{label}: delivered + failed == units"
+    );
+    assert_eq!(items, report.partitions, "{label}: every unit ends as exactly one item");
+    assert_eq!(seen.len(), report.delivered as usize, "{label}");
+}
+
+#[test]
+fn every_fleet_and_the_service_keep_the_streaming_invariants() {
+    use presto::core::{JobSpec, PreprocessService, ServiceConfig};
+    use presto::ops::ShuffleSpec;
+
+    const GROUP_ROWS: usize = 8;
+    let mut c = RmConfig::rm1();
+    c.batch_size = 24;
+    let plan = PreprocessPlan::from_config(&c, 1).unwrap();
+    // Row groups of 8 give the shuffled fleet three units per partition.
+    let ds = Dataset::generate_grouped(&c, 6, 24, 2, 7, GROUP_ROWS).expect("grouped dataset");
+    let serial = serial_reference(&plan, &ds);
+    let fleets = [
+        Fleet::Host,
+        Fleet::Isp,
+        Fleet::Split(alternating_split(&plan)),
+        Fleet::Shuffled(ShuffleSpec::new(fault_seed())),
+    ];
+    let cases =
+        [("fail-fast", RetryPolicy::fail_fast(), 0.0), ("recover", RetryPolicy::recover(), 0.01)];
+    for (policy_name, policy, rate) in cases {
+        // Each run reads a freshly armed copy, so its fault schedule does
+        // not depend on how far an earlier run got.
+        let partitions =
+            || armed(&ds, &FaultPlan::new(fault_seed()).with_transient_rate(rate).arm());
+        let config = FleetConfig::new(2, 2).with_recovery(policy.clone());
+        for fleet in &fleets {
+            let label = format!("{} fleet, {policy_name}", fleet.name());
+            let mut source = fleet.spawn(&plan, &partitions(), &config);
+            check_invariants(&label, &mut source, &serial, GROUP_ROWS);
+            let one_slot = FleetConfig::new(2, 1).with_recovery(policy.clone());
+            let mut source = fleet.spawn(&plan, &partitions(), &one_slot);
+            let _ = source.next_batch().expect("at least one unit");
+            joins_promptly(&label, move || drop(source));
+        }
+
+        let label = format!("service tenant, {policy_name}");
+        let spec = || {
+            JobSpec::new("tenant", plan.clone(), partitions())
+                .with_fleet(Fleet::Isp)
+                .with_recovery(policy.clone())
+        };
+        let service = PreprocessService::new(ServiceConfig::new(2));
+        let mut handle = service.submit(spec()).expect("admitted");
+        check_invariants(&label, &mut handle, &serial, GROUP_ROWS);
+        drop(handle);
+        let _ = service.shutdown();
+        let service = PreprocessService::new(ServiceConfig::new(2).with_job_capacity(1));
+        let mut handle = service.submit(spec()).expect("admitted");
+        let _ = handle.next_batch().expect("at least one unit");
+        joins_promptly(&label, move || {
+            drop(handle);
+            let _ = service.shutdown();
+        });
+    }
 }

@@ -14,7 +14,7 @@
 //!    for arbitrary compiled graphs under *arbitrary* (not just
 //!    cost-optimal) stage-to-fleet assignments and any chunk size.
 
-use presto::core::IspBatchStream;
+use presto::core::Fleet;
 use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
 use presto::ops::{
     lognorm, preprocess_batch, preprocess_partition, BatchStream, Bucketizer, ChainSpec,
@@ -151,7 +151,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&cpu, &serial);
             let mut isp: Vec<(usize, MiniBatch)> =
-                IspBatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(2, 2))
+                Fleet::Isp.stream(&plan, ds.partitions(), &FleetConfig::new(2, 2))
                 .map(|item| item.expect("isp batch"))
                 .map(|b| (b.partition, b.batch))
                 .collect();

@@ -6,8 +6,8 @@
 use presto::datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto::ops::{
     preprocess_batch, preprocess_batch_owned, preprocess_batch_with, preprocess_partition,
-    preprocess_partition_with, run_workers, run_workers_materialized, BatchStream, FleetConfig,
-    MiniBatch, PreprocessPlan, ScratchSpace,
+    preprocess_partition_with, run_workers, BatchStream, FleetConfig, MiniBatch, PreprocessPlan,
+    ScratchSpace,
 };
 use proptest::prelude::*;
 
@@ -74,8 +74,7 @@ proptest! {
         devices in 1usize..4,
     ) {
         // The whole executor matrix over one multi-partition dataset:
-        // serial, streaming (ordered, with and without Extract prefetch),
-        // the run_workers wrapper and the materialized baseline must all
+        // serial, streaming (ordered) and the run_workers wrapper must all
         // produce the same bytes.
         let partitions = 1 + (seed % 5) as usize;
         let ds = Dataset::generate(&config, partitions, rows, devices, seed ^ 0x51ED)
@@ -87,24 +86,15 @@ proptest! {
             .map(|p| preprocess_partition(&plan, p.blob.clone()).expect("serial path").0)
             .collect();
 
-        for prefetch in [true, false] {
-            let mut fleet_config = FleetConfig::new(workers, capacity);
-            if !prefetch {
-                fleet_config = fleet_config.without_prefetch();
-            }
-            let streamed: Vec<MiniBatch> =
-                BatchStream::spawn(&plan, ds.partitions(), &fleet_config)
-                    .into_ordered()
-                    .map(|item| item.expect("streamed batch").batch)
-                    .collect();
-            prop_assert_eq!(&streamed, &serial);
-        }
+        let streamed: Vec<MiniBatch> =
+            BatchStream::spawn(&plan, ds.partitions(), &FleetConfig::new(workers, capacity))
+                .into_ordered()
+                .map(|item| item.expect("streamed batch").batch)
+                .collect();
+        prop_assert_eq!(&streamed, &serial);
 
         let wrapped = run_workers(&plan, ds.partitions(), workers).expect("wrapper");
         prop_assert_eq!(&wrapped.batches, &serial);
-        let materialized =
-            run_workers_materialized(&plan, ds.partitions(), workers).expect("baseline");
-        prop_assert_eq!(&materialized.batches, &serial);
     }
 
     #[test]
