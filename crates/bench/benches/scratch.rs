@@ -1,18 +1,11 @@
-//! Scratch-vs-allocating comparison: quantifies the zero-copy Extract and
-//! allocation-free Transform refactor against a faithful reconstruction of
-//! the allocating baseline (deep blob copies, allocating projected reads,
-//! allocating kernels — the pre-refactor data path).
-//!
-//! The `partition_paths/*` pair is the headline number: the acceptance bar
-//! for the refactor is `zero_copy` ≥ 1.3× the `alloc_baseline` throughput.
+//! Scratch-reuse benches: the zero-copy partition path with a warm
+//! [`ScratchSpace`], and the Transform kernels with a fresh vs a warm
+//! scratch (allocating vs allocation-free steady state).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use presto_columnar::{FileReader, MemBlob};
+use presto_columnar::MemBlob;
 use presto_datagen::{generate_batch, write_partition, RmConfig, RowBatch};
-use presto_ops::{
-    preprocess_batch, preprocess_partition_with, transform_batch_into, MiniBatch, PreprocessPlan,
-    ScratchSpace,
-};
+use presto_ops::{preprocess_partition_with, transform_batch_into, PreprocessPlan, ScratchSpace};
 use std::hint::black_box;
 
 const ROWS: usize = 1024;
@@ -26,52 +19,10 @@ fn rm1_fixture() -> (PreprocessPlan, RowBatch, MemBlob) {
     (plan, batch, blob)
 }
 
-/// The pre-refactor data path, reconstructed from public APIs: the blob is
-/// deep-copied (as the old `MemBlob::clone` did), every projected chunk is
-/// read through the allocating `read_projected`, and the transform runs the
-/// allocating one-shot batch path.
-fn alloc_baseline(plan: &PreprocessPlan, blob: &MemBlob) -> MiniBatch {
-    let deep_clone = MemBlob::new(blob.as_bytes().to_vec());
-    let reader = FileReader::open(deep_clone).expect("opens");
-    let names: Vec<&str> = plan.required_columns().iter().map(String::as_str).collect();
-    let mut columns = Vec::with_capacity(reader.row_group_count());
-    for rg in 0..reader.row_group_count() {
-        columns.push(reader.read_projected(rg, &names).expect("reads"));
-    }
-    let schema = {
-        let fields: Vec<presto_columnar::Field> = plan
-            .required_columns()
-            .iter()
-            .map(|n| {
-                let idx = reader.schema().index_of(n).expect("resolves");
-                reader.schema().field(idx).expect("valid").clone()
-            })
-            .collect();
-        presto_columnar::Schema::new(fields).expect("schema")
-    };
-    let merged: Vec<presto_columnar::Array> = if columns.len() == 1 {
-        columns.pop().expect("one row group")
-    } else {
-        (0..names.len())
-            .map(|c| {
-                let parts: Vec<presto_columnar::Array> =
-                    columns.iter().map(|rg| rg[c].clone()).collect();
-                presto_columnar::column::concat_arrays(&parts).expect("concat")
-            })
-            .collect()
-    };
-    let batch = RowBatch::new(schema, merged).expect("batch");
-    preprocess_batch(plan, &batch).expect("preprocess").0
-}
-
 fn bench_partition_paths(c: &mut Criterion) {
     let (plan, _, blob) = rm1_fixture();
     let mut group = c.benchmark_group("partition_paths");
     group.throughput(Throughput::Elements(ROWS as u64));
-
-    group.bench_function("alloc_baseline", |bench| {
-        bench.iter(|| black_box(alloc_baseline(&plan, black_box(&blob))));
-    });
 
     group.bench_function("zero_copy", |bench| {
         let mut scratch = ScratchSpace::new();

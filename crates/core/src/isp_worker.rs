@@ -31,36 +31,19 @@
 
 use presto_columnar::{BlobRead, FileReader};
 use presto_ops::engine::{Front, Produced, Run, Unit, UnitPipeline};
-use presto_ops::executor::{extract_batch_from_reader, PreprocessError, StageTimings};
+use presto_ops::executor::{
+    extract_columns_for_plan, projected_bytes, PreprocessError, StageTimings,
+};
 use presto_ops::minibatch::MiniBatch;
 use presto_ops::plan::PreprocessPlan;
-use presto_ops::{preprocess_batch_owned_chunked, ScratchSpace};
+use presto_ops::{preprocess_batch_owned_chunked, ScratchSpace, UnitStats};
 use std::convert::Infallible;
+use std::time::Instant;
 
 /// On-chip feature-buffer capacity in elements. The SmartSSD build's
 /// per-unit buffers hold a few KiB; 2 KiB of 4-byte elements keeps chunks
 /// realistic without dominating emulation time.
 pub const FEATURE_BUFFER_ELEMS: usize = 512;
-
-/// Statistics of one emulated device run, for cross-checking against the
-/// analytic model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IspRunStats {
-    /// Bytes moved over the emulated P2P link.
-    pub p2p_bytes: u64,
-    /// Chunks processed by the feature-generation unit (Bucketize).
-    pub bucketize_chunks: u64,
-    /// Chunks processed by the normalization units (SigridHash, MapId,
-    /// LogNorm).
-    pub normalize_chunks: u64,
-    /// Chunks attributed to the list-restructuring unit (FirstX, NGram).
-    /// Accounting-only: these ops execute whole-column and the count
-    /// models the streaming unit's traffic (see
-    /// [`UnitStats::restructure_chunks`](presto_ops::UnitStats)).
-    pub restructure_chunks: u64,
-    /// Total elements transformed.
-    pub elements: u64,
-}
 
 /// One emulated in-storage preprocessing worker.
 #[derive(Debug)]
@@ -103,7 +86,7 @@ impl IspWorker {
     pub fn preprocess<B: BlobRead>(
         &self,
         blob: B,
-    ) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
+    ) -> Result<(MiniBatch, UnitStats), PreprocessError> {
         self.preprocess_with(blob, &mut ScratchSpace::new())
     }
 
@@ -114,7 +97,8 @@ impl IspWorker {
     /// the plan's compiled operator graph, streamed through
     /// `chunk_elems`-sized on-chip feature buffers, transforming uniquely
     /// owned decode buffers in place whenever the storage backend allows
-    /// it.
+    /// it. The returned [`UnitStats`] carry the unit's chunk counters and
+    /// the bytes it moved over the emulated P2P link.
     ///
     /// # Errors
     ///
@@ -123,45 +107,37 @@ impl IspWorker {
         &self,
         blob: B,
         scratch: &mut ScratchSpace,
-    ) -> Result<(MiniBatch, IspRunStats), PreprocessError> {
-        let mut stats = IspRunStats::default();
+    ) -> Result<(MiniBatch, UnitStats), PreprocessError> {
+        self.run(blob, scratch).map(|(batch, _, stats)| (batch, stats))
+    }
 
+    /// [`IspWorker::preprocess_with`], also returning the run's timings
+    /// (Extract included).
+    fn run<B: BlobRead>(
+        &self,
+        blob: B,
+        scratch: &mut ScratchSpace,
+    ) -> Result<(MiniBatch, StageTimings, UnitStats), PreprocessError> {
         // P2P extract: the FPGA reads the column chunks it needs directly
-        // from the SSD. We read exactly the projected ranges, counting the
-        // bytes the P2P link would carry.
+        // from the SSD — exactly the projected ranges, whose bytes the P2P
+        // link carries. The decoder unit then stages them through the
+        // worker's recycled Extract scratch (zero staging allocation once
+        // warm; in-memory blobs decode lazily).
+        let t0 = Instant::now();
         let reader = FileReader::open(blob)?;
-        stats.p2p_bytes = {
-            let needed = self.plan.required_columns();
-            let meta = reader.meta();
-            let mut bytes = 0u64;
-            for rg in &meta.row_groups {
-                for name in needed {
-                    let idx = meta
-                        .schema
-                        .index_of(name)
-                        .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                    bytes += rg.columns[idx].byte_len;
-                }
-            }
-            bytes
-        };
-
-        // Decoder unit: columnar pages -> on-card feature buffers, staged
-        // through the worker's recycled Extract scratch (zero staging
-        // allocation once warm; in-memory blobs decode lazily).
-        let batch = extract_batch_from_reader(&self.plan, &reader, scratch.read_scratch())?;
+        let needed = self.plan.required_columns();
+        let p2p_bytes = projected_bytes(&reader, needed)?;
+        let batch = extract_columns_for_plan(&self.plan, &reader, needed, scratch.read_scratch())?;
+        let extract = t0.elapsed();
 
         // Generation/normalization/restructuring units: the compiled
         // stages, each op streamed through the on-chip feature buffers —
         // one chunk transforms while the previous one's results drain
         // (double buffering), which is why chunking never changes results.
-        let (mini_batch, _, unit_stats) =
+        let (mini_batch, mut timings, stats) =
             preprocess_batch_owned_chunked(&self.plan, batch, self.chunk_elems)?;
-        stats.bucketize_chunks = unit_stats.generation_chunks;
-        stats.normalize_chunks = unit_stats.normalize_chunks;
-        stats.restructure_chunks = unit_stats.restructure_chunks;
-        stats.elements = unit_stats.elements;
-        Ok((mini_batch, stats))
+        timings.extract = extract;
+        Ok((mini_batch, timings, UnitStats { p2p_bytes, ..stats }))
     }
 }
 
@@ -181,9 +157,9 @@ impl UnitPipeline for IspWorker {
         unit: &Unit,
         scratch: &mut ScratchSpace,
     ) -> Result<Front<Infallible>, PreprocessError> {
-        let (batch, stats) = self.preprocess_with(run.partition(unit).blob.clone(), scratch)?;
+        let (batch, timings, stats) = self.run(run.partition(unit).blob.clone(), scratch)?;
         run.add_traffic(stats.p2p_bytes, 0);
-        Ok(Front::Done(batch, StageTimings::default()))
+        Ok(Front::Done(batch, timings))
     }
 
     fn back_read(&self, _: &Run, _: &Unit, _: &mut ScratchSpace) -> Result<(), PreprocessError> {
@@ -259,7 +235,7 @@ mod tests {
             .expect("runs")
             .1;
         let large = IspWorker::new(plan).with_buffer_elems(512).preprocess(blob).expect("runs").1;
-        assert!(small.bucketize_chunks > large.bucketize_chunks);
+        assert!(small.generation_chunks > large.generation_chunks);
         assert_eq!(small.elements, large.elements);
     }
 
@@ -337,6 +313,23 @@ mod tests {
         for (pos, batch) in got {
             assert_eq!(batch, serial[pos], "partition {pos}");
         }
+    }
+
+    #[test]
+    fn isp_stream_batches_report_their_timings() {
+        let mut c = RmConfig::rm1();
+        c.batch_size = 48;
+        let plan = PreprocessPlan::from_config(&c, 11).expect("plan");
+        let ds = presto_datagen::Dataset::generate(&c, 4, 48, 2, 21).expect("dataset");
+        let mut delivered = 0;
+        for item in Fleet::Isp.stream(&plan, ds.partitions(), &FleetConfig::new(2, 2)) {
+            let b = item.expect("preprocesses");
+            let zero = std::time::Duration::ZERO;
+            assert!(b.timings.extract > zero, "partition {} extract", b.partition);
+            assert!(b.timings.ops.total() > zero, "partition {} ops", b.partition);
+            delivered += 1;
+        }
+        assert_eq!(delivered, 4);
     }
 
     #[test]

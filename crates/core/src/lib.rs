@@ -58,7 +58,7 @@ pub use datacenter::{
 pub use experiments::{isp_vs_cpu_end_to_end, EndToEndPoint};
 pub use failure::{simulate_with_failures, FailureEvent, FaultyRunReport, RecoveryPolicy};
 pub use fleet::Fleet;
-pub use isp_worker::{IspRunStats, IspWorker};
+pub use isp_worker::IspWorker;
 pub use managers::{Backend, EndToEndReport, PreprocessManager, TrainManager, TrainingJob};
 pub use pipeline::{
     simulate, simulate_measured, BatchSource, PipelineConfig, PipelineReport, Trainer,

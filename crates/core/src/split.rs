@@ -37,8 +37,8 @@ use presto_columnar::FileReader;
 use presto_datagen::RowBatch;
 use presto_ops::engine::{Front, Produced, Run, Unit, UnitPipeline};
 use presto_ops::executor::{
-    extract_columns_for_plan, preprocess_split_host, preprocess_split_isp, BoundaryBatch,
-    PreprocessError, StageTimings,
+    extract_columns_for_plan, preprocess_split_host, preprocess_split_isp, projected_bytes,
+    BoundaryBatch, PreprocessError, StageTimings,
 };
 use presto_ops::plan::SplitPlan;
 use presto_ops::ScratchSpace;
@@ -89,15 +89,7 @@ impl UnitPipeline for SplitPipeline {
             return Ok(Front::Handoff((BoundaryBatch::default(), StageTimings::default())));
         }
         let (reader, batch, extract) = Self::extract(run, unit, self.split.isp_columns(), scratch)?;
-        let meta = reader.meta();
-        let mut p2p_bytes = 0u64;
-        for name in self.split.isp_columns() {
-            let idx = meta
-                .schema
-                .index_of(name)
-                .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-            p2p_bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].byte_len).sum::<u64>();
-        }
+        let p2p_bytes = projected_bytes(&reader, self.split.isp_columns())?;
         let (boundary, mut timings, _) =
             preprocess_split_isp(run.plan(), &self.split, batch, FEATURE_BUFFER_ELEMS)?;
         timings.extract = extract;

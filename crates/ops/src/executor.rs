@@ -7,26 +7,37 @@
 //! (`presto_core::placement`); the paper-scale performance projections come
 //! from `presto-hwsim` instead.
 //!
-//! # One runner, every backend
+//! # One Transform stage loop, two column modes
 //!
-//! All execution paths drive the same compiled
-//! [`PreprocessPlan::stages`](crate::PreprocessPlan::stages) in topological
-//! order, so the host CPU pipeline, the streaming workers and the
-//! in-storage unit emulation are one dataflow with different parameters:
+//! Every path executes the compiled
+//! [`PreprocessPlan::stages`](crate::PreprocessPlan::stages) through one
+//! private stage loop, so the host CPU pipeline, the streaming workers, the
+//! in-storage unit emulation and both sides of a split run the same code.
+//! The loop reads raw columns in one of two modes:
 //!
-//! * the host paths run each op over the whole column (`chunk = ∞`);
-//! * the ISP emulation ([`preprocess_batch_owned_chunked`]) streams every
-//!   op through fixed-size on-chip feature-buffer chunks and counts them in
-//!   a [`UnitStats`] — bit-identical output by construction, since every op
-//!   is pure and elementwise ops are chunk-invariant;
-//! * the split paths run the *same* stages partitioned across two fleets: a
-//!   [`SplitPlan`] names the ISP stage prefix and the
-//!   host suffix, [`preprocess_split_isp`] runs the prefix chunked and
-//!   packs the boundary-crossing outputs into a typed [`BoundaryBatch`],
-//!   and [`preprocess_split_host`] resumes from that hand-off (validating
-//!   kinds against the boundary schema) and assembles the mini-batch.
-//!   [`preprocess_partition_split`] is the serial single-blob composition
-//!   of the two; `presto_core::split` pipelines them across fleets.
+//! * **borrowed** — every stage reads a view of the batch and writes a
+//!   warm [`ScratchSpace`] slot ([`transform_batch_into`]);
+//! * **owned** — the batch is handed over, and a stage that
+//!   [consumes](crate::plan::CompiledStage::consumes_raw) its raw column
+//!   takes it and transforms it in place when no clone or blob still
+//!   shares its buffers, reading it as a view otherwise
+//!   ([`preprocess_batch_owned`], [`preprocess_batch_owned_chunked`],
+//!   [`preprocess_split_isp`], [`preprocess_split_host`]).
+//!
+//! Both modes skip a leading `FirstX(x)` over lists no longer than `x`.
+//! The paths differ only in parameters: the host runs each op over the
+//! whole column (`chunk = ∞`); the ISP emulation
+//! ([`preprocess_batch_owned_chunked`]) streams every op through
+//! fixed-size on-chip feature-buffer chunks and counts them in a
+//! [`UnitStats`] — bit-identical output by construction, since every op is
+//! pure and elementwise ops are chunk-invariant; and the split paths run a
+//! subset of the stages each: a [`SplitPlan`] names the ISP stage prefix and
+//! the host suffix, [`preprocess_split_isp`] runs the prefix chunked and
+//! packs the boundary-crossing outputs into a typed [`BoundaryBatch`], and
+//! [`preprocess_split_host`] resumes from that hand-off (validating kinds
+//! against the boundary schema) and assembles the mini-batch.
+//! [`preprocess_partition_split`] is the serial single-blob composition of
+//! the two; `presto_core::split` pipelines them across fleets.
 //!
 //! # The allocation-free hot path
 //!
@@ -34,23 +45,19 @@
 //! preprocessing is dominated by memory traffic, so the executor avoids
 //! per-batch copies and allocations in steady state:
 //!
-//! * [`ScratchSpace`] owns every reusable buffer — the Extract chunk buffer
-//!   and one stage-value slot per compiled stage. A worker that keeps
-//!   its scratch across partitions performs **zero heap allocation** inside
-//!   the transform loop once the buffers are warm (asserted by the
-//!   counting-allocator test in `tests/alloc_free.rs`).
-//! * [`preprocess_batch_owned`] consumes the decoded columns instead of
-//!   copying them: stages whose chain is fully elementwise and whose raw
-//!   column has no other reader
-//!   ([`consumes_raw`](crate::plan::CompiledStage::consumes_raw)) transform
-//!   **in place** on the uniquely owned decode buffers, and labels/offsets
-//!   move into the mini-batch without a copy.
-//! * [`transform_batch_into`] is the borrowed-batch variant used by
-//!   [`preprocess_batch_with`]: kernels write into the scratch slots
-//!   through their `*_into` entry points.
+//! * In borrowed mode every kernel writes a [`ScratchSpace`] slot through
+//!   its `*_into` entry point, and multi-op chains ping-pong through one
+//!   scratch buffer. A worker that keeps its scratch across batches
+//!   performs **zero heap allocation** once the buffers are warm (asserted
+//!   by the counting-allocator test in `tests/alloc_free.rs`).
+//! * In owned mode the decoded columns are consumed instead of copied:
+//!   in-place stages reuse the uniquely owned decode buffers, and
+//!   labels/offsets move into the mini-batch without a copy. This is the
+//!   path [`preprocess_partition_with`] and every fleet take after Extract;
+//!   [`preprocess_batch`] is the owned mode over a buffer-sharing clone.
 //!
-//! All variants are bit-identical to the straightforward allocating kernels;
-//! property tests in `tests/` pin that equivalence.
+//! All paths are bit-identical to a naive per-element interpreter of the
+//! operator graph; `tests/graph_ir.rs` pins that equivalence.
 
 use crate::lognorm;
 use crate::minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};
@@ -294,11 +301,13 @@ impl StageTimings {
     }
 }
 
-/// Chunk counters of one emulated in-storage run, bucketed by unit class
-/// (generation = Bucketize, normalization = SigridHash/MapId/LogNorm,
-/// restructure = FirstX/NGram). Filled by
-/// [`preprocess_batch_owned_chunked`]; the host paths leave it at one chunk
-/// per op application.
+/// Counters of one emulated in-storage run: chunks bucketed by unit class
+/// (generation = Bucketize, normalization = SigridHash/MapId/LogNorm/Clamp/
+/// FillMissing, restructure = FirstX/NGram), elements transformed and P2P
+/// bytes read. [`preprocess_batch_owned_chunked`] and
+/// [`preprocess_split_isp`] fill the chunk counters (the host paths count
+/// one chunk per op application); `presto_core::IspWorker` adds the P2P
+/// bytes of its Extract.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
     /// Chunks through the feature-generation unit.
@@ -314,6 +323,9 @@ pub struct UnitStats {
     pub restructure_chunks: u64,
     /// Total input elements transformed.
     pub elements: u64,
+    /// Bytes moved over the emulated P2P link (zero for a Transform-only
+    /// run, which reads nothing from storage).
+    pub p2p_bytes: u64,
 }
 
 impl UnitStats {
@@ -440,12 +452,12 @@ impl StageValue {
 ///
 /// * `read` stages column-chunk bytes for backends that cannot expose their
 ///   storage directly (see [`presto_columnar::ReadScratch`]);
-/// * `slots` holds one output buffer set per compiled stage, written
-///   through the kernels' `*_into` variants.
+/// * `slots` holds one output buffer set per compiled stage, which
+///   [`transform_batch_into`] writes through the kernels' `*_into`
+///   variants.
 ///
 /// Buffers grow to the high-water mark of the workload and are then reused
-/// verbatim: processing the Nth same-shaped partition allocates nothing in
-/// the transform loop.
+/// verbatim: transforming the Nth same-shaped batch allocates nothing.
 #[derive(Debug, Default)]
 pub struct ScratchSpace {
     read: ReadScratch,
@@ -537,9 +549,9 @@ struct StagedBufs {
 }
 
 /// Applies one op to a borrowed input, writing the result into `out`
-/// (variant re-initialized as needed, buffers recycled). Processes the
-/// input in `chunk`-element pieces — pass `usize::MAX` for whole-column
-/// host execution (no staging copy).
+/// (variant re-initialized as needed, buffers recycled). Elementwise ops
+/// and Bucketize stream through `chunk`-element pieces — pass `usize::MAX`
+/// for whole-column host execution (no staging copy).
 fn apply_op(
     op: &Op,
     input: ValueRef<'_>,
@@ -548,10 +560,13 @@ fn apply_op(
     staged: &mut StagedBufs,
     stats: &mut UnitStats,
 ) -> Result<(), PreprocessError> {
-    let tag = op.tag();
-    let elems = input.elems();
+    let ids = |piece: &[i64], out: &mut Vec<i64>| match op {
+        Op::SigridHash(h) => h.apply_into(piece, out),
+        Op::MapId(m) => m.apply_into(piece, out),
+        _ => unreachable!("caller dispatched an elementwise id op"),
+    };
     let chunks = match (op, input) {
-        (Op::LogNorm, ValueRef::Dense(src)) => apply_dense_chunked(
+        (Op::LogNorm, ValueRef::Dense(src)) => chunked_into(
             src,
             out.dense_buf(),
             chunk,
@@ -559,40 +574,28 @@ fn apply_op(
             lognorm::log_normalize_into,
         ),
         (Op::Clamp { lo, hi }, ValueRef::Dense(src)) => {
-            apply_dense_chunked(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
-                clamp_into(piece, *lo, *hi, out);
+            chunked_into(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
+                clamp_into(piece, *lo, *hi, out)
             })
         }
         (Op::FillMissing(fill), ValueRef::Dense(src)) => {
-            apply_dense_chunked(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
-                fill_missing_into(piece, *fill, out);
+            chunked_into(src, out.dense_buf(), chunk, &mut staged.dense, |piece, out| {
+                fill_missing_into(piece, *fill, out)
             })
         }
         (Op::Bucketize(b), ValueRef::Dense(src)) => {
-            let out = out.ids_buf();
-            if chunk >= src.len() {
-                b.apply_into(src, out);
-                1
-            } else {
-                out.clear();
-                out.reserve(src.len());
-                let mut n = 0;
-                for piece in src.chunks(chunk.max(1)) {
-                    b.apply_into(piece, &mut staged.ids);
-                    out.extend_from_slice(&staged.ids);
-                    n += 1;
-                }
-                n
-            }
+            chunked_into(src, out.ids_buf(), chunk, &mut staged.ids, |piece, out| {
+                b.apply_into(piece, out)
+            })
         }
         (Op::SigridHash(_) | Op::MapId(_), ValueRef::List { offsets, values }) => {
             let (out_offsets, out_values) = out.list_bufs();
             out_offsets.clear();
             out_offsets.extend_from_slice(offsets);
-            apply_ids_chunked(op, values, out_values, chunk, &mut staged.ids)
+            chunked_into(values, out_values, chunk, &mut staged.ids, ids)
         }
         (Op::SigridHash(_) | Op::MapId(_), ValueRef::Ids(values)) => {
-            apply_ids_chunked(op, values, out.ids_buf(), chunk, &mut staged.ids)
+            chunked_into(values, out.ids_buf(), chunk, &mut staged.ids, ids)
         }
         (Op::FirstX(x), ValueRef::List { offsets, values }) => {
             let (out_offsets, out_values) = out.list_bufs();
@@ -608,61 +611,31 @@ fn apply_op(
             return Err(plan_violation(format!("op {op} applied to mismatched input kind")));
         }
     };
-    stats.record(tag, chunks, elems);
+    stats.record(op.tag(), chunks, input.elems());
     Ok(())
 }
 
-/// Chunked elementwise dense transform into a recycled output buffer.
-fn apply_dense_chunked(
-    src: &[f32],
-    out: &mut Vec<f32>,
+/// Streams `src` through `chunk`-element pieces of the on-chip feature
+/// buffer `staged` into `out`, returning the piece count. A chunk that
+/// covers the whole input writes `out` directly.
+fn chunked_into<I, O: Copy>(
+    src: &[I],
+    out: &mut Vec<O>,
     chunk: usize,
-    staged: &mut Vec<f32>,
-    mut f: impl FnMut(&[f32], &mut Vec<f32>),
+    staged: &mut Vec<O>,
+    mut f: impl FnMut(&[I], &mut Vec<O>),
 ) -> u64 {
     if chunk >= src.len() {
         f(src, out);
-        1
-    } else {
-        out.clear();
-        out.reserve(src.len());
-        let mut n = 0;
-        for piece in src.chunks(chunk.max(1)) {
-            f(piece, staged);
-            out.extend_from_slice(staged);
-            n += 1;
-        }
-        n
+        return 1;
     }
-}
-
-/// Chunked elementwise id transform into a recycled output buffer.
-fn apply_ids_chunked(
-    op: &Op,
-    src: &[i64],
-    out: &mut Vec<i64>,
-    chunk: usize,
-    staged: &mut Vec<i64>,
-) -> u64 {
-    let apply = |piece: &[i64], out: &mut Vec<i64>| match op {
-        Op::SigridHash(h) => h.apply_into(piece, out),
-        Op::MapId(m) => m.apply_into(piece, out),
-        _ => unreachable!("caller dispatched an elementwise id op"),
-    };
-    if chunk >= src.len() {
-        apply(src, out);
-        1
-    } else {
-        out.clear();
-        out.reserve(src.len());
-        let mut n = 0;
-        for piece in src.chunks(chunk.max(1)) {
-            apply(piece, staged);
-            out.extend_from_slice(staged);
-            n += 1;
-        }
-        n
+    out.clear();
+    out.reserve(src.len());
+    for piece in src.chunks(chunk.max(1)) {
+        f(piece, staged);
+        out.extend_from_slice(staged);
     }
+    chunk_count(src.len(), chunk)
 }
 
 /// Chunks an already-whole op application would have streamed through a
@@ -682,54 +655,54 @@ fn apply_op_in_place(
     chunk: usize,
     stats: &mut UnitStats,
 ) -> Result<(), PreprocessError> {
-    let tag = op.tag();
-    let (chunks, elems) = match (op, &mut *value) {
+    let elems = value.as_value_ref().elems();
+    let chunks = match (op, value) {
         (Op::LogNorm | Op::Clamp { .. } | Op::FillMissing(_), StageValue::Dense(v)) => {
-            let mut n = 0;
-            for piece in v.chunks_mut(chunk.max(1)) {
-                match op {
-                    Op::LogNorm => lognorm::log_normalize_in_place(piece),
-                    Op::Clamp { lo, hi } => clamp_in_place(piece, *lo, *hi),
-                    Op::FillMissing(fill) => fill_missing_in_place(piece, *fill),
-                    _ => unreachable!("matched above"),
-                }
-                n += 1;
-            }
-            (n, v.len() as u64)
+            chunked_in_place(v, chunk, |piece| match op {
+                Op::LogNorm => lognorm::log_normalize_in_place(piece),
+                Op::Clamp { lo, hi } => clamp_in_place(piece, *lo, *hi),
+                Op::FillMissing(fill) => fill_missing_in_place(piece, *fill),
+                _ => unreachable!("matched above"),
+            })
         }
         (
             Op::SigridHash(_) | Op::MapId(_),
             StageValue::List { values, .. } | StageValue::Ids(values),
-        ) => {
-            let mut n = 0;
-            for piece in values.chunks_mut(chunk.max(1)) {
-                match op {
-                    Op::SigridHash(h) => h.apply_in_place(piece),
-                    Op::MapId(m) => m.apply_in_place(piece),
-                    _ => unreachable!("matched above"),
-                }
-                n += 1;
-            }
-            (n, values.len() as u64)
-        }
+        ) => chunked_in_place(values, chunk, |piece| match op {
+            Op::SigridHash(h) => h.apply_in_place(piece),
+            Op::MapId(m) => m.apply_in_place(piece),
+            _ => unreachable!("matched above"),
+        }),
         _ => {
             return Err(plan_violation(format!("op {op} applied in place to mismatched kind")));
         }
     };
-    stats.record(tag, chunks, elems);
+    stats.record(op.tag(), chunks, elems);
     Ok(())
 }
 
-/// Runs one stage's op chain from a borrowed input into `slot`.
+/// In-place sibling of [`chunked_into`]: applies `f` to `values` one
+/// `chunk`-element piece at a time, returning the piece count.
+fn chunked_in_place<T>(values: &mut [T], chunk: usize, mut f: impl FnMut(&mut [T])) -> u64 {
+    let mut n = 0;
+    for piece in values.chunks_mut(chunk.max(1)) {
+        f(piece);
+        n += 1;
+    }
+    n
+}
+
+/// Runs one stage's op chain into `slot`, starting from a borrowed view
+/// (`Some`) or from the owned value already in `slot` (`None`).
 ///
-/// The chain is fused through the slot: the first op writes the slot,
-/// subsequent elementwise ops run in place on it, and non-elementwise ops
+/// The chain is fused through the slot: the first op on a view writes the
+/// slot, elementwise ops run in place on it, and non-elementwise ops
 /// ping-pong through `temp` — no per-op intermediate allocation once the
 /// buffers are warm.
 #[allow(clippy::too_many_arguments)]
 fn run_chain(
     ops: &[Op],
-    input: ValueRef<'_>,
+    input: Option<ValueRef<'_>>,
     slot: &mut StageValue,
     temp: &mut StageValue,
     chunk: usize,
@@ -737,36 +710,54 @@ fn run_chain(
     timings: &mut StageTimings,
     stats: &mut UnitStats,
 ) -> Result<(), PreprocessError> {
-    let (first, rest) = ops.split_first().ok_or_else(|| plan_violation("empty op chain"))?;
-    let elems = input.elems();
-    let t0 = Instant::now();
-    apply_op(first, input, slot, chunk, staged, stats)?;
-    timings.ops.add(first.tag(), t0.elapsed(), elems);
-    for op in rest {
+    let mut ops = ops;
+    if let Some(input) = input {
+        let (first, rest) = ops.split_first().ok_or_else(|| plan_violation("empty op chain"))?;
         let t0 = Instant::now();
+        apply_op(first, input, slot, chunk, staged, stats)?;
+        timings.ops.add(first.tag(), t0.elapsed(), input.elems());
+        ops = rest;
+    }
+    for op in ops {
+        let t0 = Instant::now();
+        let elems = slot.as_value_ref().elems();
         if op.is_elementwise() {
-            let elems = slot.as_value_ref().elems();
             apply_op_in_place(op, slot, chunk, stats)?;
-            timings.ops.add(op.tag(), t0.elapsed(), elems);
         } else {
             std::mem::swap(slot, temp);
-            let elems = temp.as_value_ref().elems();
             apply_op(op, temp.as_value_ref(), slot, chunk, staged, stats)?;
-            timings.ops.add(op.tag(), t0.elapsed(), elems);
         }
+        timings.ops.add(op.tag(), t0.elapsed(), elems);
     }
     Ok(())
 }
 
-/// Borrows a raw column of `batch` as the kind the compiled stage expects.
-fn raw_value_ref<'a>(
-    batch: &'a RowBatch,
-    name: &str,
-    kind: ValueKind,
-) -> Result<ValueRef<'a>, PreprocessError> {
-    let column =
-        batch.column(name).ok_or_else(|| PreprocessError::BadColumn { column: name.into() })?;
-    array_value_ref(column, name, kind)
+/// Where the Transform stage loop reads raw columns from.
+enum RawColumns<'a> {
+    /// A borrowed batch: every stage reads a view.
+    Borrowed(&'a RowBatch),
+    /// Decoded columns the caller gave up: a stage that
+    /// [consumes](crate::plan::CompiledStage::consumes_raw) its column
+    /// takes it.
+    Owned(&'a presto_columnar::Schema, &'a mut [Array]),
+}
+
+impl RawColumns<'_> {
+    fn column(&self, name: &str) -> Option<&Array> {
+        match self {
+            RawColumns::Borrowed(batch) => batch.column(name),
+            RawColumns::Owned(schema, columns) => schema.index_of(name).map(|i| &columns[i]),
+        }
+    }
+
+    /// Moves an owned column out, leaving an empty array; `None` for a
+    /// borrowed batch or a missing column.
+    fn take(&mut self, name: &str) -> Option<Array> {
+        let RawColumns::Owned(schema, columns) = self else { return None };
+        let column = &mut columns[schema.index_of(name)?];
+        let empty = Array::empty(column.data_type());
+        Some(std::mem::replace(column, empty))
+    }
 }
 
 fn array_value_ref<'a>(
@@ -783,6 +774,92 @@ fn array_value_ref<'a>(
             .ok_or_else(bad),
         ValueKind::Ids => column.as_int64().map(ValueRef::Ids).ok_or_else(bad),
     }
+}
+
+/// The owned-column fallback: a taken column whose buffers nothing else
+/// shares becomes a stage value to transform in place; a column a clone or
+/// the blob's own bytes still hold comes back, to be read as a view.
+fn owned_value(column: Array, kind: ValueKind) -> Result<StageValue, Array> {
+    match (kind, column) {
+        (ValueKind::List, Array::ListInt64 { offsets, values }) if values.is_unique() => {
+            Ok(StageValue::List { offsets: offsets.into_vec(), values: values.into_vec() })
+        }
+        (ValueKind::Dense, Array::Float32(buf)) if buf.is_unique() => {
+            Ok(StageValue::Dense(buf.into_vec()))
+        }
+        (ValueKind::Ids, Array::Int64(buf)) if buf.is_unique() => {
+            Ok(StageValue::Ids(buf.into_vec()))
+        }
+        (_, column) => Err(column),
+    }
+}
+
+/// The one Transform stage loop: executes the stages at `positions` (a
+/// dependency-closed, increasing subset of the plan) into `outputs[pos]`.
+/// Stage-to-stage inputs resolve through `outputs`, so pre-seeded slots (a
+/// split run's boundary hand-off) feed stages whose producers ran
+/// elsewhere. Every path runs through here: [`transform_batch_into`] with
+/// borrowed columns and warm scratch slots, the owned batch paths and both
+/// sides of a split with owned columns.
+fn run_stages(
+    plan: &PreprocessPlan,
+    positions: impl IntoIterator<Item = usize>,
+    mut raw: RawColumns<'_>,
+    outputs: &mut [StageValue],
+    temp: &mut StageValue,
+    chunk: usize,
+) -> Result<(StageTimings, UnitStats), PreprocessError> {
+    let mut timings = StageTimings::default();
+    let mut stats = UnitStats::default();
+    let mut staged = StagedBufs::default();
+    for i in positions {
+        let stage = &plan.stages()[i];
+        let (done, rest) = outputs.split_at_mut(i);
+        let slot = &mut rest[0];
+        let mut taken = None;
+        let input = match stage.input() {
+            StageInput::Stage(j) => Some(done[*j].as_value_ref()),
+            StageInput::Raw(name) => {
+                let kind = stage.input_kind();
+                match stage.consumes_raw().then(|| raw.take(name)).flatten() {
+                    Some(column) => match owned_value(column, kind) {
+                        Ok(value) => {
+                            *slot = value;
+                            None
+                        }
+                        Err(column) => Some(array_value_ref(taken.insert(column), name, kind)?),
+                    },
+                    None => {
+                        let bad = || PreprocessError::BadColumn { column: name.clone() };
+                        Some(array_value_ref(raw.column(name).ok_or_else(bad)?, name, kind)?)
+                    }
+                }
+            }
+        };
+        // A leading `FirstX(x)` over lists already no longer than `x` is the
+        // identity — the common case once prefix pushdown has truncated the
+        // column at decode time (clamping still happens here when the
+        // extracted prefix was a looser max). Skip the op instead of copying
+        // the lists through it.
+        let mut ops = stage.ops();
+        if let (Some(Op::FirstX(x)), Some(ValueRef::List { offsets, values })) =
+            (ops.first(), input)
+        {
+            if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) {
+                ops = &ops[1..];
+                if ops.is_empty() {
+                    let (out_offsets, out_values) = slot.list_bufs();
+                    out_offsets.clear();
+                    out_offsets.extend_from_slice(offsets);
+                    out_values.clear();
+                    out_values.extend_from_slice(values);
+                    continue;
+                }
+            }
+        }
+        run_chain(ops, input, slot, temp, chunk, &mut staged, &mut timings, &mut stats)?;
+    }
+    Ok((timings, stats))
 }
 
 /// Runs the compiled stages over a borrowed batch, writing every output
@@ -802,30 +879,17 @@ pub fn transform_batch_into(
     batch: &RowBatch,
     scratch: &mut ScratchSpace,
 ) -> Result<StageTimings, PreprocessError> {
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let mut staged = StagedBufs::default();
     let stages = plan.stages();
     scratch.prepare(stages.len());
-    for (i, stage) in stages.iter().enumerate() {
-        let (done, rest) = scratch.slots.split_at_mut(i);
-        let slot = &mut rest[0];
-        let input = match stage.input() {
-            StageInput::Raw(name) => raw_value_ref(batch, name, stage.input_kind())?,
-            StageInput::Stage(j) => done[*j].as_value_ref(),
-        };
-        run_chain(
-            stage.ops(),
-            input,
-            slot,
-            &mut scratch.temp,
-            usize::MAX,
-            &mut staged,
-            &mut timings,
-            &mut stats,
-        )?;
-        scratch.slot_meta.push((stage.output_kind(), stage.emit()));
-    }
+    let (timings, _) = run_stages(
+        plan,
+        0..stages.len(),
+        RawColumns::Borrowed(batch),
+        &mut scratch.slots,
+        &mut scratch.temp,
+        usize::MAX,
+    )?;
+    scratch.slot_meta.extend(stages.iter().map(|s| (s.output_kind(), s.emit())));
     Ok(timings)
 }
 
@@ -879,13 +943,11 @@ fn assemble_mini_batch(
 }
 
 /// Preprocesses an already-decoded row batch (Transform + format
-/// conversion).
-///
-/// One-shot path: stage outputs are built in a private scratch and move
-/// into the mini-batch. Callers in a steady-state loop should prefer
-/// [`preprocess_batch_with`] (bounded allocation via a reused scratch) or
-/// [`preprocess_batch_owned`] (in-place transforms); all three produce
-/// bit-identical output.
+/// conversion) without consuming it: [`preprocess_batch_owned`] over a
+/// clone, which shares every buffer with `batch`, so each stage reads a
+/// view instead of transforming in place. Steady-state loops should hand
+/// over the batch itself ([`preprocess_batch_owned`]) or keep a warm
+/// [`ScratchSpace`] ([`transform_batch_into`]).
 ///
 /// # Errors
 ///
@@ -895,58 +957,7 @@ pub fn preprocess_batch(
     plan: &PreprocessPlan,
     batch: &RowBatch,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let labels = batch
-        .column("label")
-        .and_then(Array::as_int64)
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?
-        .to_vec();
-    let mut scratch = ScratchSpace::new();
-    let mut timings = transform_batch_into(plan, batch, &mut scratch)?;
-    let t0 = Instant::now();
-    let slots = &mut scratch.slots;
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut slots[pos]))?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings))
-}
-
-/// Like [`preprocess_batch`], threading stage outputs through a reusable
-/// [`ScratchSpace`] so the transform loop itself allocates nothing once the
-/// scratch is warm. Only the final mini-batch assembly allocates (its
-/// buffers are the returned value and cannot be recycled).
-///
-/// # Errors
-///
-/// Same as [`preprocess_batch`].
-pub fn preprocess_batch_with(
-    plan: &PreprocessPlan,
-    batch: &RowBatch,
-    scratch: &mut ScratchSpace,
-) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let labels = batch
-        .column("label")
-        .and_then(Array::as_int64)
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?
-        .to_vec();
-    let mut timings = transform_batch_into(plan, batch, scratch)?;
-
-    // Format conversion: copy the scratch outputs into owned buffers (they
-    // must outlive the scratch) and assemble.
-    let t0 = Instant::now();
-    let slots = &scratch.slots;
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| slots[pos].clone())?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings))
-}
-
-/// Moves `columns[index_of(name)]` out of the batch, leaving an empty array.
-fn take_column(
-    schema: &presto_columnar::Schema,
-    columns: &mut [Array],
-    name: &str,
-) -> Option<Array> {
-    let idx = schema.index_of(name)?;
-    let dt = columns[idx].data_type();
-    Some(std::mem::replace(&mut columns[idx], Array::empty(dt)))
+    preprocess_batch_owned(plan, batch.clone())
 }
 
 /// Preprocesses a batch it *owns*: stages marked
@@ -987,116 +998,39 @@ pub fn preprocess_batch_owned_chunked(
     batch: RowBatch,
     chunk_elems: usize,
 ) -> Result<(MiniBatch, StageTimings, UnitStats), PreprocessError> {
-    let chunk = chunk_elems.max(1);
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
+    let positions = 0..plan.stages().len();
+    preprocess_owned(plan, batch, positions, empty_outputs(plan), chunk_elems.max(1))
+}
+
+/// One output slot per stage of `plan`, all empty.
+fn empty_outputs(plan: &PreprocessPlan) -> Vec<StageValue> {
+    std::iter::repeat_with(StageValue::default).take(plan.stages().len()).collect()
+}
+
+/// The owned tail every mini-batch path shares: take the label column, run
+/// the stages at `positions` over the owned columns into `outputs`, then
+/// format the mini-batch.
+fn preprocess_owned(
+    plan: &PreprocessPlan,
+    batch: RowBatch,
+    positions: impl IntoIterator<Item = usize>,
+    mut outputs: Vec<StageValue>,
+    chunk: usize,
+) -> Result<(MiniBatch, StageTimings, UnitStats), PreprocessError> {
     let (schema, mut columns) = batch.into_parts();
-
-    let labels = take_column(&schema, &mut columns, "label")
-        .and_then(|a| match a {
-            Array::Int64(buf) => Some(buf.into_vec()),
-            _ => None,
-        })
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
-
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
-    run_stage_subset(
-        plan,
-        0..plan.stages().len(),
-        &schema,
-        &mut columns,
-        chunk,
-        &mut outputs,
-        &mut timings,
-        &mut stats,
-    )?;
+    let mut raw = RawColumns::Owned(&schema, &mut columns);
+    let labels = match raw.take("label") {
+        Some(Array::Int64(buf)) => buf.into_vec(),
+        _ => return Err(PreprocessError::BadColumn { column: "label".into() }),
+    };
+    let mut temp = StageValue::default();
+    let (mut timings, stats) = run_stages(plan, positions, raw, &mut outputs, &mut temp, chunk)?;
     drop(columns);
 
     let t0 = Instant::now();
     let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut outputs[pos]))?;
     timings.format = t0.elapsed();
     Ok((mini_batch, timings, stats))
-}
-
-/// Executes the stages at `positions` (a dependency-closed, increasing
-/// subset of the plan) over an owned batch, writing each stage's result
-/// into `outputs[pos]`. Stage-to-stage inputs resolve through `outputs`,
-/// so pre-seeded slots (a split run's boundary hand-off) feed stages whose
-/// producers ran elsewhere. The shared loop under
-/// [`preprocess_batch_owned_chunked`], [`preprocess_split_isp`] and
-/// [`preprocess_split_host`].
-#[allow(clippy::too_many_arguments)]
-fn run_stage_subset(
-    plan: &PreprocessPlan,
-    positions: impl IntoIterator<Item = usize>,
-    schema: &presto_columnar::Schema,
-    columns: &mut [Array],
-    chunk: usize,
-    outputs: &mut [StageValue],
-    timings: &mut StageTimings,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let stages = plan.stages();
-    let mut staged = StagedBufs::default();
-    let mut temp = StageValue::default();
-    for i in positions {
-        let stage = &stages[i];
-        let mut slot = StageValue::default();
-        if stage.consumes_raw() {
-            let StageInput::Raw(name) = stage.input() else {
-                return Err(plan_violation(format!("stage {i} consumes a non-raw input")));
-            };
-            let column = take_column(schema, columns, name)
-                .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-            run_stage_owned(
-                stage.ops(),
-                column,
-                name,
-                stage.input_kind(),
-                &mut slot,
-                &mut temp,
-                chunk,
-                &mut staged,
-                timings,
-                stats,
-            )?;
-        } else {
-            let input = match stage.input() {
-                StageInput::Raw(name) => {
-                    let idx = schema
-                        .index_of(name)
-                        .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
-                    array_value_ref(&columns[idx], name, stage.input_kind())?
-                }
-                StageInput::Stage(j) => outputs[*j].as_value_ref(),
-            };
-            // A leading `FirstX(x)` over lists already no longer than `x`
-            // is the identity — the common case once prefix pushdown has
-            // truncated the column at decode time (clamping still happens
-            // here when the extracted prefix was a looser max). Skip the
-            // op instead of copying the lists through it.
-            let ops = match (stage.ops().first(), &input) {
-                (Some(Op::FirstX(x)), ValueRef::List { offsets, values })
-                    if offsets.windows(2).all(|w| (w[1] - w[0]) as usize <= *x) =>
-                {
-                    if stage.ops().len() == 1 {
-                        // Identity chain: materialize the input directly
-                        // (run_chain rejects empty op lists).
-                        slot =
-                            StageValue::List { offsets: offsets.to_vec(), values: values.to_vec() };
-                        outputs[i] = slot;
-                        continue;
-                    }
-                    &stage.ops()[1..]
-                }
-                _ => stage.ops(),
-            };
-            run_chain(ops, input, &mut slot, &mut temp, chunk, &mut staged, timings, stats)?;
-        }
-        outputs[i] = slot;
-    }
-    Ok(())
 }
 
 /// The typed intermediate hand-off of one split batch: every boundary
@@ -1133,21 +1067,15 @@ pub fn preprocess_split_isp(
     batch: RowBatch,
     chunk_elems: usize,
 ) -> Result<(BoundaryBatch, StageTimings, UnitStats), PreprocessError> {
-    let chunk = chunk_elems.max(1);
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
     let (schema, mut columns) = batch.into_parts();
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
-    run_stage_subset(
+    let mut outputs = empty_outputs(plan);
+    let (timings, stats) = run_stages(
         plan,
         split.isp_stages().iter().copied(),
-        &schema,
-        &mut columns,
-        chunk,
+        RawColumns::Owned(&schema, &mut columns),
         &mut outputs,
-        &mut timings,
-        &mut stats,
+        &mut StageValue::default(),
+        chunk_elems.max(1),
     )?;
     let values = split
         .boundary()
@@ -1174,19 +1102,7 @@ pub fn preprocess_split_host(
     batch: RowBatch,
     boundary: BoundaryBatch,
 ) -> Result<(MiniBatch, StageTimings), PreprocessError> {
-    let mut timings = StageTimings::default();
-    let mut stats = UnitStats::default();
-    let (schema, mut columns) = batch.into_parts();
-
-    let labels = take_column(&schema, &mut columns, "label")
-        .and_then(|a| match a {
-            Array::Int64(buf) => Some(buf.into_vec()),
-            _ => None,
-        })
-        .ok_or_else(|| PreprocessError::BadColumn { column: "label".into() })?;
-
-    let mut outputs: Vec<StageValue> = Vec::new();
-    outputs.resize_with(plan.stages().len(), StageValue::default);
+    let mut outputs = empty_outputs(plan);
     let mut seeded = vec![false; plan.stages().len()];
     for (pos, value) in boundary.values {
         let stage = plan
@@ -1210,23 +1126,8 @@ pub fn preprocess_split_host(
             missing.stage, missing.output
         )));
     }
-
-    run_stage_subset(
-        plan,
-        split.host_stages().iter().copied(),
-        &schema,
-        &mut columns,
-        usize::MAX,
-        &mut outputs,
-        &mut timings,
-        &mut stats,
-    )?;
-    drop(columns);
-
-    let t0 = Instant::now();
-    let mini_batch = assemble_mini_batch(plan, labels, |pos| std::mem::take(&mut outputs[pos]))?;
-    timings.format = t0.elapsed();
-    Ok((mini_batch, timings))
+    let positions = split.host_stages().iter().copied();
+    preprocess_owned(plan, batch, positions, outputs, usize::MAX).map(|(mb, t, _)| (mb, t))
 }
 
 /// Timing and traffic breakdown of one split partition run.
@@ -1280,73 +1181,6 @@ pub fn preprocess_partition_split<B: BlobRead>(
     Ok((mini_batch, report))
 }
 
-/// Runs a fully elementwise chain on an owned column: uniquely held buffers
-/// transform in place and move into the stage output; shared buffers (a
-/// multi-clone storage backend) fall back to the borrowed path.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_owned(
-    ops: &[Op],
-    column: Array,
-    name: &str,
-    kind: ValueKind,
-    slot: &mut StageValue,
-    temp: &mut StageValue,
-    chunk: usize,
-    staged: &mut StagedBufs,
-    timings: &mut StageTimings,
-    stats: &mut UnitStats,
-) -> Result<(), PreprocessError> {
-    let bad = || PreprocessError::BadColumn { column: name.into() };
-    let mut owned = match (kind, column) {
-        (ValueKind::List, Array::ListInt64 { offsets, mut values }) => {
-            if values.make_mut().is_none() {
-                let input = ValueRef::List { offsets: &offsets, values: &values };
-                return run_chain(ops, input, slot, temp, chunk, staged, timings, stats);
-            }
-            StageValue::List { offsets: offsets.into_vec(), values: values.into_vec() }
-        }
-        (ValueKind::Dense, Array::Float32(mut buf)) => {
-            if buf.make_mut().is_none() {
-                return run_chain(
-                    ops,
-                    ValueRef::Dense(&buf),
-                    slot,
-                    temp,
-                    chunk,
-                    staged,
-                    timings,
-                    stats,
-                );
-            }
-            StageValue::Dense(buf.into_vec())
-        }
-        (ValueKind::Ids, Array::Int64(mut buf)) => {
-            if buf.make_mut().is_none() {
-                return run_chain(
-                    ops,
-                    ValueRef::Ids(&buf),
-                    slot,
-                    temp,
-                    chunk,
-                    staged,
-                    timings,
-                    stats,
-                );
-            }
-            StageValue::Ids(buf.into_vec())
-        }
-        _ => return Err(bad()),
-    };
-    for op in ops {
-        let t0 = Instant::now();
-        let elems = owned.as_value_ref().elems();
-        apply_op_in_place(op, &mut owned, chunk, stats)?;
-        timings.ops.add(op.tag(), t0.elapsed(), elems);
-    }
-    *slot = owned;
-    Ok(())
-}
-
 /// Full pipeline over a stored partition: Extract (projected read + decode),
 /// Transform, format conversion.
 ///
@@ -1396,24 +1230,30 @@ pub fn extract_partition_with<B: BlobRead>(
 ) -> Result<(RowBatch, Duration), PreprocessError> {
     let t0 = Instant::now();
     let reader = FileReader::open(blob)?;
-    let batch = extract_batch_from_reader(plan, &reader, read)?;
+    let batch = extract_columns_for_plan(plan, &reader, plan.required_columns(), read)?;
     Ok((batch, t0.elapsed()))
 }
 
-/// Decodes the plan's projected columns from an already-open reader into
-/// one owned [`RowBatch`] (row groups merged). Split out of
-/// [`extract_partition_with`] so callers that need the file metadata first
-/// — like the ISP worker's P2P byte accounting — reuse one open.
+/// Bytes of the `needed` column chunks summed over every row group — what
+/// an ISP unit moves over its P2P link to extract that projection.
 ///
 /// # Errors
 ///
-/// Propagates storage, decode and schema failures.
-pub fn extract_batch_from_reader<B: BlobRead>(
-    plan: &PreprocessPlan,
+/// Returns [`PreprocessError::BadColumn`] when the file lacks a column.
+pub fn projected_bytes<B: BlobRead>(
     reader: &FileReader<B>,
-    read: &mut ReadScratch,
-) -> Result<RowBatch, PreprocessError> {
-    extract_columns_for_plan(plan, reader, plan.required_columns(), read)
+    needed: &[String],
+) -> Result<u64, PreprocessError> {
+    let meta = reader.meta();
+    let mut bytes = 0;
+    for name in needed {
+        let idx = meta
+            .schema
+            .index_of(name)
+            .ok_or_else(|| PreprocessError::BadColumn { column: name.clone() })?;
+        bytes += meta.row_groups.iter().map(|rg| rg.columns[idx].byte_len).sum::<u64>();
+    }
+    Ok(bytes)
 }
 
 /// Like [`extract_columns_from_reader`], honoring the plan's per-column
@@ -1774,9 +1614,12 @@ mod tests {
         let mut scratch = ScratchSpace::new();
         for seed in 0..4 {
             let batch = generate_batch(&c, 64, seed);
-            let (fresh, _) = preprocess_batch(&plan, &batch).unwrap();
-            let (reused, _) = preprocess_batch_with(&plan, &batch, &mut scratch).unwrap();
-            assert_eq!(fresh, reused, "seed {seed}");
+            let mut cold = ScratchSpace::new();
+            transform_batch_into(&plan, &batch, &mut cold).unwrap();
+            transform_batch_into(&plan, &batch, &mut scratch).unwrap();
+            assert_eq!(cold.generated(), scratch.generated(), "seed {seed}");
+            assert_eq!(cold.hashed(), scratch.hashed(), "seed {seed}");
+            assert_eq!(cold.dense(), scratch.dense(), "seed {seed}");
         }
     }
 
@@ -1856,9 +1699,6 @@ mod tests {
         let batch = generate_batch(&c, 48, 11);
         let blob = write_partition(&batch).unwrap();
         let (reference, _) = preprocess_batch(&plan, &batch).unwrap();
-        let (with_scratch, _) =
-            preprocess_batch_with(&plan, &batch, &mut ScratchSpace::new()).unwrap();
-        assert_eq!(with_scratch, reference);
         let (owned, _) = preprocess_batch_owned(&plan, batch).unwrap();
         assert_eq!(owned, reference);
         let (from_disk, _) = preprocess_partition(&plan, blob).unwrap();

@@ -18,8 +18,9 @@
 //! * [`PreprocessPlan`] + [`executor`] — graphs compiled into topologically
 //!   ordered, fused execution stages and the full Extract → Transform →
 //!   format-conversion pipeline over `presto-columnar` partitions. One
-//!   runner serves the host CPU paths and (chunked through on-chip
-//!   feature buffers) the in-storage worker emulation.
+//!   Transform stage loop serves the borrowed-scratch path, the owned host
+//!   paths, the in-storage worker emulation (chunked through on-chip
+//!   feature buffers) and both sides of a split run.
 //! * [`engine`] — the one streaming engine every fleet and the
 //!   multi-tenant service run on: units, unit pipelines (front segment →
 //!   bounded link → back segment, with ISP → host fallback), claim
@@ -42,10 +43,11 @@
 //! recycled buffer (or decodes straight from storage memory for in-memory
 //! blobs), SigridHash and Log run **in place** on the uniquely owned decode
 //! buffers, and labels/offsets move into the mini-batch without copying.
-//! The borrowed-batch variant [`executor::transform_batch_into`] performs
+//! The borrowed-batch mode [`executor::transform_batch_into`] performs
 //! zero heap allocation per batch once its scratch is warm — asserted by a
-//! counting-allocator test (`tests/alloc_free.rs`) and bit-matched against
-//! the plain allocating kernels by property tests.
+//! counting-allocator test (`tests/alloc_free.rs`). Every path is
+//! bit-matched against a naive per-element interpreter of the operator
+//! graph (`tests/graph_ir.rs`).
 //!
 //! ## Example
 //!
@@ -90,13 +92,12 @@ pub use engine::{
     StreamStats, StreamedBatch,
 };
 pub use executor::{
-    extract_batch_from_reader, extract_columns_for_plan, extract_columns_from_reader,
-    extract_group_for_plan, extract_group_from_reader, extract_partition_with, preprocess_batch,
-    preprocess_batch_owned, preprocess_batch_owned_chunked, preprocess_batch_with,
-    preprocess_group_with, preprocess_partition, preprocess_partition_split,
-    preprocess_partition_with, preprocess_split_host, preprocess_split_isp, transform_batch_into,
-    BoundaryBatch, OpBucket, OpTimings, PreprocessError, ScratchSpace, SplitReport, StageTimings,
-    StageValue, UnitStats,
+    extract_columns_for_plan, extract_columns_from_reader, extract_group_for_plan,
+    extract_group_from_reader, extract_partition_with, preprocess_batch, preprocess_batch_owned,
+    preprocess_batch_owned_chunked, preprocess_group_with, preprocess_partition,
+    preprocess_partition_split, preprocess_partition_with, preprocess_split_host,
+    preprocess_split_isp, projected_bytes, transform_batch_into, BoundaryBatch, OpBucket,
+    OpTimings, PreprocessError, ScratchSpace, SplitReport, StageTimings, StageValue, UnitStats,
 };
 pub use graph::{ChainSpec, GraphError, PlanGraph};
 pub use minibatch::{DenseMatrix, JaggedFeature, MiniBatch, ShapeError};

@@ -1,13 +1,7 @@
-//! Additional TorchArrow list/dense operations used in production RecSys
-//! preprocessing pipelines beyond the paper's three core ops.
-//!
-//! * [`firstx`] — truncate each sparse list to its first `x` ids
-//!   (TorchArrow `firstx`), bounding per-row work and embedding pooling.
-//! * [`prune_empty`] — drop rows whose list is empty, returning the kept
-//!   row indices (used when a feature is mandatory).
-//! * [`clamp_dense`] — clamp dense features into a range before
-//!   normalization (TorchArrow `clamp`).
-//! * [`fill_missing`] — replace NaN dense values with a default.
+//! [`firstx`] — truncate each sparse list to its first `x` ids (TorchArrow
+//! `firstx`), bounding per-row work and embedding pooling. This allocating
+//! form is the plain reference that the allocation-free
+//! [`crate::op::firstx_into`] kernel and the executor are tested against.
 
 /// Truncates each list to its first `x` elements.
 ///
@@ -27,43 +21,6 @@ pub fn firstx(offsets: &[u32], values: &[i64], x: usize) -> (Vec<u32>, Vec<i64>)
         out_offsets.push(out_values.len() as u32);
     }
     (out_offsets, out_values)
-}
-
-/// Drops rows with empty lists; returns `(offsets, values, kept_rows)`.
-#[must_use]
-pub fn prune_empty(offsets: &[u32], values: &[i64]) -> (Vec<u32>, Vec<i64>, Vec<u32>) {
-    let rows = offsets.len().saturating_sub(1);
-    let mut out_offsets = vec![0u32];
-    let mut out_values = Vec::new();
-    let mut kept = Vec::new();
-    for row in 0..rows {
-        let start = offsets[row] as usize;
-        let end = offsets[row + 1] as usize;
-        if start == end {
-            continue;
-        }
-        out_values.extend_from_slice(&values[start..end]);
-        out_offsets.push(out_values.len() as u32);
-        kept.push(row as u32);
-    }
-    (out_offsets, out_values, kept)
-}
-
-/// Clamps each dense value into `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics when `lo > hi` or either bound is NaN.
-#[must_use]
-pub fn clamp_dense(values: &[f32], lo: f32, hi: f32) -> Vec<f32> {
-    assert!(lo <= hi, "clamp bounds inverted: {lo} > {hi}");
-    values.iter().map(|&v| v.clamp(lo, hi)).collect()
-}
-
-/// Replaces NaN entries with `default`.
-#[must_use]
-pub fn fill_missing(values: &[f32], default: f32) -> Vec<f32> {
-    values.iter().map(|&v| if v.is_nan() { default } else { v }).collect()
 }
 
 #[cfg(test)]
@@ -101,40 +58,5 @@ mod tests {
         let (o, v) = jagged(&[&[1, 2], &[3]]);
         let (oo, ov) = firstx(&o, &v, 10);
         assert_eq!((oo, ov), (o, v));
-    }
-
-    #[test]
-    fn prune_empty_keeps_row_mapping() {
-        let (o, v) = jagged(&[&[], &[1], &[], &[2, 3]]);
-        let (oo, ov, kept) = prune_empty(&o, &v);
-        assert_eq!(kept, vec![1, 3]);
-        assert_eq!(oo, vec![0, 1, 3]);
-        assert_eq!(ov, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn prune_of_all_empty_gives_empty() {
-        let (o, v) = jagged(&[&[], &[]]);
-        let (oo, ov, kept) = prune_empty(&o, &v);
-        assert_eq!(oo, vec![0]);
-        assert!(ov.is_empty());
-        assert!(kept.is_empty());
-    }
-
-    #[test]
-    fn clamp_bounds_values() {
-        assert_eq!(clamp_dense(&[-5.0, 0.5, 99.0], 0.0, 1.0), vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp bounds inverted")]
-    fn clamp_rejects_inverted_bounds() {
-        let _ = clamp_dense(&[1.0], 2.0, 1.0);
-    }
-
-    #[test]
-    fn fill_missing_replaces_only_nan() {
-        let out = fill_missing(&[1.0, f32::NAN, -2.0], 0.0);
-        assert_eq!(out, vec![1.0, 0.0, -2.0]);
     }
 }

@@ -9,7 +9,7 @@
 //! the counters.
 
 use presto_datagen::{generate_batch, RmConfig};
-use presto_ops::{transform_batch_into, PreprocessPlan, ScratchSpace};
+use presto_ops::{transform_batch_into, PlanGraph, PreprocessPlan, ScratchSpace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,34 +50,53 @@ fn allocation_count() -> u64 {
 fn warm_transform_kernel_loop_allocates_nothing() {
     let mut config = RmConfig::rm1();
     config.batch_size = 512;
-    let plan = PreprocessPlan::from_config(&config, 7).expect("plan builds");
-    // Distinct same-shaped batches: steady state means *new data* through
-    // *old buffers*, not re-processing one batch.
-    let batches: Vec<_> = (0..4).map(|seed| generate_batch(&config, 512, seed)).collect();
+    // Variable-length lists: truncated_cross really truncates (x = 3) and
+    // long_history (x = 64) takes the identity-FirstX skip.
+    let mut lists = config.clone();
+    lists.avg_sparse_len = 5;
+    lists.fixed_sparse_len = false;
+    let compile = |graph, config| PreprocessPlan::compile(graph, config).expect("plan builds");
+    let inputs = [
+        ("canonical", PreprocessPlan::from_config(&config, 7).expect("plan builds"), &config),
+        (
+            "truncated_cross",
+            compile(PlanGraph::truncated_cross(&lists, 7, 3, 2).unwrap(), &lists),
+            &lists,
+        ),
+        ("long_history", compile(PlanGraph::long_history(&lists, 7, 64).unwrap(), &lists), &lists),
+    ];
+    for (name, plan, config) in inputs {
+        // Distinct same-shaped batches: steady state means *new data*
+        // through *old buffers*, not re-processing one batch.
+        let batches: Vec<_> = (0..4).map(|seed| generate_batch(config, 512, seed)).collect();
 
-    let mut scratch = ScratchSpace::new();
+        let mut scratch = ScratchSpace::new();
 
-    // Warm-up: first passes size every pool to the workload's high-water
-    // mark (allocations expected and allowed here).
-    for batch in &batches {
-        transform_batch_into(&plan, batch, &mut scratch).expect("transform succeeds");
-    }
-
-    // Steady state: zero allocations across many further batches.
-    let before = allocation_count();
-    for _round in 0..8 {
+        // Warm-up: first passes size every pool to the workload's
+        // high-water mark (allocations expected and allowed here).
         for batch in &batches {
             transform_batch_into(&plan, batch, &mut scratch).expect("transform succeeds");
         }
-    }
-    let delta = allocation_count() - before;
-    assert_eq!(delta, 0, "steady-state transform loop allocated {delta} times over 32 batches");
 
-    // Sanity: outputs of the warm path still match a cold run.
-    let mut cold = ScratchSpace::new();
-    transform_batch_into(&plan, &batches[3], &mut cold).expect("cold transform succeeds");
-    transform_batch_into(&plan, &batches[3], &mut scratch).expect("warm transform succeeds");
-    assert_eq!(cold.generated(), scratch.generated());
-    assert_eq!(cold.hashed(), scratch.hashed());
-    assert_eq!(cold.dense(), scratch.dense());
+        // Steady state: zero allocations across many further batches.
+        let before = allocation_count();
+        for _round in 0..8 {
+            for batch in &batches {
+                transform_batch_into(&plan, batch, &mut scratch).expect("transform succeeds");
+            }
+        }
+        let delta = allocation_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: steady-state transform loop allocated {delta} times over 32 batches"
+        );
+
+        // Sanity: outputs of the warm path still match a cold run.
+        let mut cold = ScratchSpace::new();
+        transform_batch_into(&plan, &batches[3], &mut cold).expect("cold transform succeeds");
+        transform_batch_into(&plan, &batches[3], &mut scratch).expect("warm transform succeeds");
+        assert_eq!(cold.generated(), scratch.generated());
+        assert_eq!(cold.hashed(), scratch.hashed());
+        assert_eq!(cold.dense(), scratch.dense());
+    }
 }

@@ -13,13 +13,17 @@
 //! 4. Split execution is bit-identical to host-only and ISP-only execution
 //!    for arbitrary compiled graphs under *arbitrary* (not just
 //!    cost-optimal) stage-to-fleet assignments and any chunk size.
+//! 5. Every Transform path — borrowed scratch, owned, chunked ISP and split
+//!    — is bit-identical on every scenario graph to a naive interpreter
+//!    that shares none of the executor's stage machinery.
 
 use presto::core::Fleet;
-use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig};
+use presto::datagen::{generate_batch, generated_source_column, Dataset, RmConfig, RowBatch};
+use presto::ops::op::{clamp_into, fill_missing_into, ngram_into};
 use presto::ops::{
-    lognorm, preprocess_batch, preprocess_partition, BatchStream, Bucketizer, ChainSpec,
+    listops, lognorm, preprocess_batch, preprocess_partition, BatchStream, Bucketizer, ChainSpec,
     DenseMatrix, FleetConfig, IdMap, JaggedFeature, MiniBatch, Op, PlanGraph, PreprocessPlan,
-    SigridHasher,
+    SigridHasher, ValueKind,
 };
 use proptest::prelude::*;
 
@@ -91,6 +95,157 @@ fn compiled_canonical_is_bit_identical_to_legacy_for_rm1_rm2_rm3() {
     for mut config in [RmConfig::rm1(), RmConfig::rm2(), RmConfig::rm3()] {
         config.batch_size = 24;
         assert_canonical_matches_legacy(&config, 11, 101, 24);
+    }
+}
+
+/// A column or chain output inside [`reference_interpreter`].
+enum Value {
+    Dense(Vec<f32>),
+    List(Vec<u32>, Vec<i64>),
+    Ids(Vec<i64>),
+}
+
+/// The naive reference interpreter: walks `graph.chains()` in declaration
+/// order, resolving each input as a raw column (raw columns win) or by
+/// re-running the chain that outputs it, and applies each op per element or
+/// through an allocating kernel on fresh buffers — no compiled stages, no
+/// fusion, no in-place or chunked execution, no identity skips.
+fn reference_interpreter(graph: &PlanGraph, batch: &RowBatch) -> MiniBatch {
+    fn input(graph: &PlanGraph, batch: &RowBatch, name: &str) -> Value {
+        let Some(column) = batch.column(name) else {
+            let chain = graph.chains().iter().find(|c| c.output == name).expect("input resolves");
+            return run(graph, batch, chain);
+        };
+        if let Some(v) = column.as_float32() {
+            Value::Dense(v.to_vec())
+        } else if let Some((offsets, values)) = column.as_list_int64() {
+            Value::List(offsets.to_vec(), values.to_vec())
+        } else {
+            Value::Ids(column.as_int64().expect("raw column kind").to_vec())
+        }
+    }
+    fn run(graph: &PlanGraph, batch: &RowBatch, chain: &ChainSpec) -> Value {
+        let mut value = input(graph, batch, &chain.input);
+        for op in &chain.ops {
+            let ids = |v: Vec<i64>, f: &dyn Fn(i64) -> i64| v.into_iter().map(f).collect();
+            value = match (op, value) {
+                (Op::SigridHash(h), Value::List(o, v)) => {
+                    Value::List(o, ids(v, &|id| h.hash_one(id)))
+                }
+                (Op::SigridHash(h), Value::Ids(v)) => Value::Ids(ids(v, &|id| h.hash_one(id))),
+                (Op::MapId(m), Value::List(o, v)) => Value::List(o, ids(v, &|id| m.map_one(id))),
+                (Op::MapId(m), Value::Ids(v)) => Value::Ids(ids(v, &|id| m.map_one(id))),
+                (Op::Bucketize(b), Value::Dense(v)) => {
+                    Value::Ids(v.iter().map(|&x| b.bucket_id(x)).collect())
+                }
+                (Op::LogNorm, Value::Dense(v)) => {
+                    Value::Dense(v.iter().map(|&x| lognorm::log_normalize_one(x)).collect())
+                }
+                (Op::Clamp { lo, hi }, Value::Dense(v)) => {
+                    let mut out = Vec::new();
+                    clamp_into(&v, *lo, *hi, &mut out);
+                    Value::Dense(out)
+                }
+                (Op::FillMissing(fill), Value::Dense(v)) => {
+                    let mut out = Vec::new();
+                    fill_missing_into(&v, *fill, &mut out);
+                    Value::Dense(out)
+                }
+                (Op::FirstX(x), Value::List(o, v)) => {
+                    let (o, v) = listops::firstx(&o, &v, *x);
+                    Value::List(o, v)
+                }
+                (Op::NGram { n, hasher }, Value::List(o, v)) => {
+                    let (mut out_o, mut out_v) = (Vec::new(), Vec::new());
+                    ngram_into(&o, &v, *n, hasher, &mut out_o, &mut out_v);
+                    Value::List(out_o, out_v)
+                }
+                (op, _) => panic!("{op} applied to a mismatched kind"),
+            };
+        }
+        value
+    }
+
+    let labels = batch.column("label").unwrap().as_int64().unwrap().to_vec();
+    let rows = labels.len();
+    let (mut dense, mut lists, mut ids) = (Vec::new(), Vec::new(), Vec::new());
+    for chain in graph.chains().iter().filter(|c| c.emit) {
+        match run(graph, batch, chain) {
+            Value::Dense(v) => dense.push(v),
+            Value::List(offsets, values) => {
+                lists.push(JaggedFeature { name: chain.output.clone(), offsets, values });
+            }
+            Value::Ids(values) => {
+                let offsets = (0..=rows as u32).collect();
+                ids.push(JaggedFeature { name: chain.output.clone(), offsets, values });
+            }
+        }
+    }
+    lists.extend(ids);
+    MiniBatch::new(labels, DenseMatrix::from_columns(&dense, rows).unwrap(), lists).unwrap()
+}
+
+#[test]
+fn every_transform_path_matches_the_reference_interpreter() {
+    use presto::datagen::write_partition;
+    use presto::ops::{
+        preprocess_batch_owned, preprocess_batch_owned_chunked, preprocess_partition_split,
+        transform_batch_into, Fleet, ScratchSpace,
+    };
+    let mut c = RmConfig::rm1();
+    c.batch_size = 48;
+    c.avg_sparse_len = 5;
+    c.fixed_sparse_len = false;
+    let batch = generate_batch(&c, 48, 17);
+    let blob = write_partition(&batch).expect("serializes");
+    let graphs = [
+        PlanGraph::canonical(&c, 3),
+        PlanGraph::truncated_cross(&c, 3, 3, 2),
+        PlanGraph::remapped(&c, 3, 64),
+        PlanGraph::long_history(&c, 3, 64),
+        PlanGraph::cleaned(&c, 3),
+    ];
+    for graph in graphs {
+        let graph = graph.expect("scenario builds");
+        let reference = reference_interpreter(&graph, &batch);
+        let plan = PreprocessPlan::compile(graph, &c).expect("scenario compiles");
+        // `preprocess_batch` reads views of a shared clone; a freshly
+        // generated batch owns its buffers, so its stages run in place.
+        let owned = || generate_batch(&c, 48, 17);
+        assert_eq!(preprocess_batch(&plan, &batch).expect("borrowed").0, reference);
+        assert_eq!(preprocess_batch_owned(&plan, owned()).expect("owned").0, reference);
+        for chunk in [1, 7, 4096] {
+            let (chunked, _, _) =
+                preprocess_batch_owned_chunked(&plan, owned(), chunk).expect("chunked");
+            assert_eq!(chunked, reference, "chunk {chunk}");
+        }
+        let n = plan.stages().len();
+        let alternating: Vec<Fleet> =
+            (0..n).map(|i| if i % 2 == 0 { Fleet::Isp } else { Fleet::Host }).collect();
+        let split = plan.split(&alternating).expect("splits");
+        let mut read = presto::columnar::ReadScratch::default();
+        let (split_out, _) =
+            preprocess_partition_split(&plan, &split, blob.clone(), 512, &mut read).expect("split");
+        assert_eq!(split_out, reference);
+
+        // The scratch outputs of the borrowed mode, in stage order.
+        let mut scratch = ScratchSpace::new();
+        transform_batch_into(&plan, &batch, &mut scratch).expect("scratch");
+        let (mut lists, mut ids, mut dense) = (Vec::new(), Vec::new(), Vec::new());
+        for (pos, stage) in plan.stages().iter().enumerate().filter(|(_, s)| s.emit()) {
+            let feature = || reference.sparse_by_name(stage.output()).expect("emitted");
+            match stage.output_kind() {
+                ValueKind::List => lists.push(feature().values.as_slice()),
+                ValueKind::Ids => ids.push(feature().values.as_slice()),
+                ValueKind::Dense => {
+                    let col = plan.emitted_dense().iter().position(|&p| p == pos).unwrap();
+                    dense.push((0..48).map(|r| reference.dense().row(r)[col]).collect::<Vec<_>>());
+                }
+            }
+        }
+        assert_eq!(scratch.hashed(), lists);
+        assert_eq!(scratch.generated(), ids);
+        assert_eq!(scratch.dense(), dense.iter().map(Vec::as_slice).collect::<Vec<_>>());
     }
 }
 

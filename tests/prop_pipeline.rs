@@ -5,8 +5,8 @@
 
 use presto::datagen::{generate_batch, write_partition, Dataset, RmConfig};
 use presto::ops::{
-    preprocess_batch, preprocess_batch_owned, preprocess_batch_with, preprocess_partition,
-    preprocess_partition_with, run_workers, BatchStream, FleetConfig, MiniBatch, PreprocessPlan,
+    preprocess_batch, preprocess_batch_owned, preprocess_partition, preprocess_partition_with,
+    run_workers, transform_batch_into, BatchStream, FleetConfig, MiniBatch, PreprocessPlan,
     ScratchSpace,
 };
 use proptest::prelude::*;
@@ -48,10 +48,17 @@ proptest! {
         let blob = write_partition(&batch).expect("serializes");
 
         let (reference, _) = preprocess_batch(&plan, &batch).expect("borrowed path");
-        let (with_scratch, _) =
-            preprocess_batch_with(&plan, &batch, &mut ScratchSpace::new())
-                .expect("scratch path");
-        prop_assert_eq!(&with_scratch, &reference);
+
+        // A scratch reused from a differently shaped batch matches a cold one.
+        let mut cold = ScratchSpace::new();
+        transform_batch_into(&plan, &batch, &mut cold).expect("cold scratch");
+        let mut reused = ScratchSpace::new();
+        let other = generate_batch(&config, rows + 3, seed ^ 1);
+        transform_batch_into(&plan, &other, &mut reused).expect("warm-up");
+        transform_batch_into(&plan, &batch, &mut reused).expect("reused scratch");
+        prop_assert_eq!(cold.generated(), reused.generated());
+        prop_assert_eq!(cold.hashed(), reused.hashed());
+        prop_assert_eq!(cold.dense(), reused.dense());
 
         let (from_disk, _) =
             preprocess_partition(&plan, blob.clone()).expect("partition path");
