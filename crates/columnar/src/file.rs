@@ -29,9 +29,9 @@
 //! [`FileWriter::write_batch`]) and every chunk entry carries the group's
 //! own page count and null-row count next to its offset/size/row/element
 //! stats, so a reader can fetch any single group — `read_row_group(g)` /
-//! `read_projected_with(g, ..)` — with exactly one ranged read per
-//! projected column and exactly-sized decode buffers, without touching any
-//! other group. This random access is what the shuffled epoch streaming in
+//! `read_projected_with(g, ..)` — with one ranged read per run of
+//! byte-adjacent projected chunks and exactly-sized decode buffers, without
+//! touching any other group. This random access is what the shuffled epoch streaming in
 //! `presto-ops` (`ShuffledStream`) is built on. [`FileMeta::locate_row`] /
 //! [`FileMeta::start_rows`] map global row numbers onto groups.
 //!
@@ -47,9 +47,14 @@
 //! failure. Mixed leading/trailing magics are rejected as corruption.
 //!
 //! The footer-at-the-end design is what lets a reader fetch metadata with two
-//! small reads and then issue *exactly one ranged read per projected column*,
-//! which is the selective-extraction property the PreSto paper's Extract
-//! phase depends on (Section II-B).
+//! small reads (the leading magic and one fixed-size tail window holding the
+//! footer) and then read *only the projected column chunks* — the
+//! selective-extraction property the PreSto paper's Extract phase depends on
+//! (Section II-B). Chunks of one row group are stored back to back, so the
+//! reader coalesces projected chunks that touch into a single ranged read:
+//! on an emulated device, where every read costs one service time whatever
+//! its size, a projection of adjacent columns costs one read instead of one
+//! per column (see [`FileReader::read_projected_with`]).
 //!
 //! # Prefix pushdown
 //!
@@ -89,7 +94,7 @@ use crate::column;
 use crate::compress::Compression;
 use crate::encoding::varint;
 use crate::error::{ColumnarError, Result};
-use crate::io::BlobRead;
+use crate::io::{BlobRead, ReadScratch};
 use crate::page::DEFAULT_PAGE_ROWS;
 use crate::schema::{DataType, Field, Schema, WritePolicy};
 use crate::stats::ColumnStats;
@@ -104,6 +109,22 @@ pub const MAGIC_V3: &[u8; 8] = b"PSTOCOL3";
 /// Version-2 magic the reader still accepts (same as v3 minus the
 /// delta-bitpacked page encoding).
 pub const MAGIC_V2: &[u8; 8] = b"PSTOCOL2";
+
+/// Bytes after the footer: its CRC (4), its length (4) and the magic (8).
+const TRAILER_LEN: usize = 4 + 4 + 8;
+
+/// Bytes [`FileReader::open`] reads from the end of an opaque blob in its
+/// one speculative footer read. The footers of the benchmark workloads'
+/// files measure 1.0–1.2 KiB (RM1 and RM1-L partitions, one row group;
+/// long-sequence files, eight 256-row groups) and those of the RM2–RM5
+/// schemas 12.5 KiB, so 16 KiB holds every one of them with the trailer.
+/// A larger footer costs one more read.
+const TAIL_WINDOW: usize = 16 * 1024;
+
+/// Largest gap, in bytes, between two projected chunks that one coalesced
+/// read still spans. Zero merges only chunks that touch, so a coalesced
+/// read never fetches a byte outside the projection.
+const COALESCE_GAP: u64 = 0;
 
 /// Container format versions this crate can read (and, for fixtures and
 /// compatibility tests, write — see [`FileWriter::with_format_version`]).
@@ -236,10 +257,17 @@ impl FileMeta {
         }
     }
 
-    fn read(buf: &[u8], version: FormatVersion) -> Result<Self> {
+    /// Parses a footer. Every chunk must lie inside the data region, from
+    /// the end of the leading magic to `data_end` (where the footer
+    /// starts): chunk reads size their staging buffers from these ranges,
+    /// so a CRC-valid footer that claims more bytes than the file holds is
+    /// rejected here, before any read allocates for it.
+    fn read(buf: &[u8], version: FormatVersion, data_end: u64) -> Result<Self> {
         let mut pos = 0usize;
         let n_fields = varint::read_u64(buf, &mut pos)? as usize;
-        let mut fields = Vec::with_capacity(n_fields);
+        // Every entry takes at least one footer byte, which bounds the
+        // reservations a corrupt count can ask for.
+        let mut fields = Vec::with_capacity(n_fields.min(buf.len()));
         for _ in 0..n_fields {
             let name_len = varint::read_u64(buf, &mut pos)? as usize;
             if buf.len() < pos + name_len {
@@ -259,13 +287,24 @@ impl FileMeta {
         }
         let schema = Schema::new(fields)?;
         let n_groups = varint::read_u64(buf, &mut pos)? as usize;
-        let mut row_groups = Vec::with_capacity(n_groups);
+        let mut row_groups = Vec::with_capacity(n_groups.min(buf.len()));
         for _ in 0..n_groups {
             let rows = varint::read_u64(buf, &mut pos)?;
             let mut columns = Vec::with_capacity(schema.len());
             for _ in 0..schema.len() {
                 let offset = varint::read_u64(buf, &mut pos)?;
                 let byte_len = varint::read_u64(buf, &mut pos)?;
+                let inside = offset >= MAGIC.len() as u64
+                    && offset.checked_add(byte_len).is_some_and(|end| end <= data_end);
+                if !inside {
+                    return Err(ColumnarError::CorruptFile {
+                        detail: format!(
+                            "column chunk at {offset} (+{byte_len} bytes) lies outside the \
+                             data region {}..{data_end}",
+                            MAGIC.len()
+                        ),
+                    });
+                }
                 let stats = ColumnStats::read(buf, &mut pos, version.v4_stats())?;
                 columns.push(ChunkMeta { offset, byte_len, stats });
             }
@@ -512,42 +551,73 @@ pub struct FileReader<B> {
 }
 
 impl<B: BlobRead> FileReader<B> {
-    /// Opens a columnar file, validating magic numbers and the footer CRC.
+    /// Opens a columnar file, validating both magics, the footer length,
+    /// the footer CRC and every chunk's byte range.
+    ///
+    /// A backend that exposes its bytes ([`BlobRead::as_slice`]) is parsed
+    /// in place, with no read and no copy. Any other backend is opened with
+    /// one read of the file's last 16 KiB, which holds the trailer and any
+    /// footer of up to about 16 KiB, plus one 8-byte read of the leading
+    /// magic — or with that one read alone when the whole file fits in it.
+    /// Only a larger footer costs a third read.
     ///
     /// # Errors
     ///
     /// Returns [`ColumnarError::CorruptFile`] / [`ColumnarError::ChecksumMismatch`]
-    /// on structural damage.
+    /// on structural damage, including a footer whose chunk ranges leave the
+    /// data region between the magic and the footer.
     pub fn open(blob: B) -> Result<Self> {
         let total = blob.blob_len();
-        let tail_len = 8 + 4 + 4;
-        if total < (8 + tail_len) as u64 {
+        if total < (MAGIC.len() + TRAILER_LEN) as u64 {
             return Err(ColumnarError::CorruptFile {
                 detail: format!("file of {total} bytes is too small"),
             });
         }
-        let head = blob.read_at(0, 8)?;
-        let Some(version) = FormatVersion::from_magic(&head) else {
+        let staged;
+        let (window, window_start): (&[u8], u64) = match blob.as_slice() {
+            Some(all) => (all, 0),
+            None => {
+                let start = total.saturating_sub(TAIL_WINDOW as u64);
+                staged = blob.read_at(start, (total - start) as usize)?;
+                (&staged, start)
+            }
+        };
+        let head_read;
+        let head = if window_start == 0 {
+            &window[..MAGIC.len()]
+        } else {
+            head_read = blob.read_at(0, MAGIC.len())?;
+            &head_read[..]
+        };
+        let Some(version) = FormatVersion::from_magic(head) else {
             return Err(ColumnarError::CorruptFile { detail: "bad leading magic".into() });
         };
-        let tail = blob.read_at(total - tail_len as u64, tail_len)?;
-        if tail[8..] != head {
+        let tail = &window[window.len() - TRAILER_LEN..];
+        if tail[8..] != *head {
             return Err(ColumnarError::CorruptFile { detail: "bad trailing magic".into() });
         }
         let footer_crc = u32::from_le_bytes(tail[0..4].try_into().expect("4 bytes"));
-        let footer_len = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes")) as u64;
-        let footer_end = total - tail_len as u64;
-        if footer_len > footer_end - 8 {
+        let footer_len = u64::from(u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes")));
+        let footer_end = total - TRAILER_LEN as u64;
+        if footer_len > footer_end - MAGIC.len() as u64 {
             return Err(ColumnarError::CorruptFile {
                 detail: format!("footer length {footer_len} exceeds file"),
             });
         }
-        let footer = blob.read_at(footer_end - footer_len, footer_len as usize)?;
-        let actual = crc32(&footer);
+        let footer_start = footer_end - footer_len;
+        let footer_read;
+        let footer = match footer_start.checked_sub(window_start) {
+            Some(at) => &window[at as usize..(footer_end - window_start) as usize],
+            None => {
+                footer_read = blob.read_at(footer_start, footer_len as usize)?;
+                &footer_read[..]
+            }
+        };
+        let actual = crc32(footer);
         if actual != footer_crc {
             return Err(ColumnarError::ChecksumMismatch { expected: footer_crc, actual });
         }
-        let meta = FileMeta::read(&footer, version)?;
+        let meta = FileMeta::read(footer, version, footer_start)?;
         Ok(FileReader { blob, meta, version })
     }
 
@@ -575,14 +645,15 @@ impl<B: BlobRead> FileReader<B> {
         self.meta.row_groups.len()
     }
 
-    /// Reads one column of one row group with a single ranged read.
+    /// Reads one column of one row group. An opaque backend serves it with
+    /// one ranged read of exactly the chunk's bytes.
     ///
     /// # Errors
     ///
     /// Returns [`ColumnarError::UnknownColumn`] for bad indices plus any
     /// decode error.
     pub fn read_column(&self, row_group: usize, column: usize) -> Result<Array> {
-        self.read_column_with(row_group, column, &mut crate::io::ReadScratch::new())
+        self.read_column_with(row_group, column, &mut ReadScratch::new())
     }
 
     /// Like [`FileReader::read_column`], staging the chunk bytes in a
@@ -590,10 +661,11 @@ impl<B: BlobRead> FileReader<B> {
     ///
     /// When the backend can expose its bytes directly
     /// ([`BlobRead::as_slice`]), the chunk is decoded straight from storage
-    /// memory and the scratch is not touched at all; otherwise the chunk is
-    /// read into the scratch's recycled buffer. Either way, a caller that
-    /// reuses one scratch across columns and partitions performs no
-    /// per-chunk staging allocation.
+    /// memory and the scratch's staging buffer is not touched; otherwise the
+    /// chunk is read into the scratch's recycled buffer. Either way, a
+    /// caller that reuses one scratch across columns and partitions performs
+    /// no per-chunk staging allocation. This is the one-chunk case of
+    /// [`FileReader::read_projected_with`].
     ///
     /// # Errors
     ///
@@ -602,94 +674,21 @@ impl<B: BlobRead> FileReader<B> {
         &self,
         row_group: usize,
         column: usize,
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Array> {
-        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
-            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
-        })?;
-        let chunk = rg
-            .columns
-            .get(column)
-            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
-        let field = self.meta.schema.field(column).expect("meta/schema in sync");
-        let data_type = field.data_type();
-        let (offset, len) = (chunk.offset, chunk.byte_len as usize);
-        // Footer stats size the batched decoder's outputs exactly.
-        let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
-        let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
-        let batchable = matches!(data_type, DataType::Int64 | DataType::ListInt64);
-        // Lazy decode: when the blob shares its allocation, aligned plain
-        // pages are returned as views over the stored bytes — no staging
-        // and no value copy (see `column::read_chunk_shared`). Multi-page
-        // integer chunks cannot stay lazy (concat copies anyway), so they
-        // take the batched single-output-buffer decode instead.
-        let array = if let Some(shared) = self.blob.as_shared() {
-            let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                detail: format!("chunk offset {offset} out of addressable range"),
-            })?;
-            let end = start
-                .checked_add(len)
-                .filter(|&e| e <= shared.len())
-                .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-            if batchable && column::peek_page_count(&shared[..end], start)? > 1 {
-                let (_, staging, lengths) = scratch.split_parts();
-                let mut pos = start;
-                column::read_chunk_batched(
-                    &shared[..end],
-                    &mut pos,
-                    data_type,
-                    0,
-                    rows,
-                    elements,
-                    staging,
-                    lengths,
-                )?
-            } else {
-                column::read_chunk_shared(&shared, offset, len, data_type)?
-            }
-        } else {
-            let (bytes, staging, lengths): (&[u8], &mut Vec<u8>, &mut Vec<u64>) =
-                match self.blob.as_slice() {
-                    Some(all) => {
-                        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                            detail: format!("chunk offset {offset} out of addressable range"),
-                        })?;
-                        // checked_add: corrupt metadata must surface as Err,
-                        // not an overflow panic.
-                        let bytes =
-                            start.checked_add(len).and_then(|end| all.get(start..end)).ok_or(
-                                ColumnarError::UnexpectedEof { context: "column chunk range" },
-                            )?;
-                        let (_, staging, lengths) = scratch.split_parts();
-                        (bytes, staging, lengths)
-                    }
-                    None => scratch.read_split(&self.blob, offset, len)?,
-                };
-            let mut pos = 0usize;
-            if batchable {
-                column::read_chunk_batched(
-                    bytes, &mut pos, data_type, offset, rows, elements, staging, lengths,
-                )?
-            } else {
-                column::read_chunk_at(bytes, &mut pos, data_type, offset)?
-            }
-        };
-        if array.len() as u64 != rg.rows {
-            return Err(ColumnarError::CountMismatch {
-                declared: rg.rows as usize,
-                actual: array.len(),
-            });
-        }
-        Ok(array)
+        self.read_column_limit_with(row_group, column, None, scratch)
     }
 
-    /// Reads several columns by index (the projection path).
+    /// Reads several columns by index (the projection path), with one read
+    /// per run of byte-adjacent chunks (see
+    /// [`FileReader::read_projected_with`]).
     ///
     /// # Errors
     ///
     /// Same as [`FileReader::read_column`].
     pub fn read_columns(&self, row_group: usize, columns: &[usize]) -> Result<Vec<Array>> {
-        columns.iter().map(|&c| self.read_column(row_group, c)).collect()
+        let wanted: Vec<(usize, Option<usize>)> = columns.iter().map(|&c| (c, None)).collect();
+        self.read_chunks(row_group, &wanted, &mut ReadScratch::new())
     }
 
     /// Reads several columns by name.
@@ -699,12 +698,21 @@ impl<B: BlobRead> FileReader<B> {
     /// Returns [`ColumnarError::UnknownColumn`] for unknown names plus any
     /// decode error.
     pub fn read_projected(&self, row_group: usize, names: &[&str]) -> Result<Vec<Array>> {
-        let idx = self.meta.schema.project(names)?;
-        self.read_columns(row_group, &idx)
+        self.read_projected_with(row_group, names, &mut ReadScratch::new())
     }
 
     /// Like [`FileReader::read_projected`], reusing a [`crate::ReadScratch`]
-    /// for every chunk read (see [`FileReader::read_column_with`]).
+    /// for the reads (see [`FileReader::read_column_with`]).
+    ///
+    /// An opaque backend is read with **one ranged read per run of
+    /// byte-adjacent projected chunks**: the chunks are sorted by offset,
+    /// chunks that touch are merged into one range (no gap, so no byte
+    /// outside the projection is read), each range is staged in the
+    /// scratch with a single [`BlobRead::read_at_into`], and every chunk is
+    /// decoded from its own sub-slice. A projection of columns stored next
+    /// to each other therefore costs one device read, however many columns
+    /// it names. The output is in `names` order; a column named twice is
+    /// read once and decoded twice.
     ///
     /// # Errors
     ///
@@ -713,17 +721,19 @@ impl<B: BlobRead> FileReader<B> {
         &self,
         row_group: usize,
         names: &[&str],
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Vec<Array>> {
-        let idx = self.meta.schema.project(names)?;
-        idx.iter().map(|&c| self.read_column_with(row_group, c, scratch)).collect()
+        let wanted: Vec<(usize, Option<usize>)> =
+            self.meta.schema.project(names)?.into_iter().map(|c| (c, None)).collect();
+        self.read_chunks(row_group, &wanted, scratch)
     }
 
     /// Like [`FileReader::read_projected_with`], honoring a per-column
     /// element limit — the prefix-pushdown read (see the module docs).
     /// `limits[i]` applies to `names[i]`: `Some(x)` materializes only the
     /// first `x` elements of each list in that column; `None` reads the
-    /// column in full.
+    /// column in full. The reads are coalesced exactly as in
+    /// [`FileReader::read_projected_with`].
     ///
     /// # Errors
     ///
@@ -735,7 +745,7 @@ impl<B: BlobRead> FileReader<B> {
         row_group: usize,
         names: &[&str],
         limits: &[Option<usize>],
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Vec<Array>> {
         if limits.len() != names.len() {
             return Err(ColumnarError::CountMismatch {
@@ -743,19 +753,17 @@ impl<B: BlobRead> FileReader<B> {
                 actual: limits.len(),
             });
         }
-        let idx = self.meta.schema.project(names)?;
-        idx.iter()
-            .zip(limits)
-            .map(|(&c, &limit)| self.read_column_limit_with(row_group, c, limit, scratch))
-            .collect()
+        let wanted: Vec<(usize, Option<usize>)> =
+            self.meta.schema.project(names)?.into_iter().zip(limits.iter().copied()).collect();
+        self.read_chunks(row_group, &wanted, scratch)
     }
 
     /// Prefix-pushdown single-column read: like
     /// [`FileReader::read_column_with`], but when `limit` is `Some(x)` and
     /// the column is a list column, only the first `x` elements of every
     /// list are materialized (offsets in the returned array already reflect
-    /// the truncation). `None` — or a non-list column — delegates to the
-    /// full read unchanged.
+    /// the truncation). `None` — or a non-list column — reads the column
+    /// in full.
     ///
     /// # Errors
     ///
@@ -765,76 +773,10 @@ impl<B: BlobRead> FileReader<B> {
         row_group: usize,
         column: usize,
         limit: Option<usize>,
-        scratch: &mut crate::io::ReadScratch,
+        scratch: &mut ReadScratch,
     ) -> Result<Array> {
-        let Some(prefix) = limit else {
-            return self.read_column_with(row_group, column, scratch);
-        };
-        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
-            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
-        })?;
-        let chunk = rg
-            .columns
-            .get(column)
-            .ok_or_else(|| ColumnarError::UnknownColumn { name: format!("column {column}") })?;
-        let field = self.meta.schema.field(column).expect("meta/schema in sync");
-        if field.data_type() != DataType::ListInt64 {
-            return self.read_column_with(row_group, column, scratch);
-        }
-        let (offset, len) = (chunk.offset, chunk.byte_len as usize);
-        let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
-        let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
-        // The prefix decode always gathers into a fresh compact buffer, so
-        // the lazy zero-copy paths never apply: route every blob flavor to
-        // `read_chunk_prefix` over the raw chunk bytes.
-        let array = if let Some(shared) = self.blob.as_shared() {
-            let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                detail: format!("chunk offset {offset} out of addressable range"),
-            })?;
-            let end = start
-                .checked_add(len)
-                .filter(|&e| e <= shared.len())
-                .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
-            let (_, staging, lengths) = scratch.split_parts();
-            let mut pos = start;
-            column::read_chunk_prefix(
-                &shared[..end],
-                &mut pos,
-                0,
-                rows,
-                elements,
-                prefix,
-                staging,
-                lengths,
-            )?
-        } else {
-            let (bytes, staging, lengths): (&[u8], &mut Vec<u8>, &mut Vec<u64>) =
-                match self.blob.as_slice() {
-                    Some(all) => {
-                        let start = usize::try_from(offset).map_err(|_| ColumnarError::Io {
-                            detail: format!("chunk offset {offset} out of addressable range"),
-                        })?;
-                        let bytes =
-                            start.checked_add(len).and_then(|end| all.get(start..end)).ok_or(
-                                ColumnarError::UnexpectedEof { context: "column chunk range" },
-                            )?;
-                        let (_, staging, lengths) = scratch.split_parts();
-                        (bytes, staging, lengths)
-                    }
-                    None => scratch.read_split(&self.blob, offset, len)?,
-                };
-            let mut pos = 0usize;
-            column::read_chunk_prefix(
-                bytes, &mut pos, offset, rows, elements, prefix, staging, lengths,
-            )?
-        };
-        if array.len() as u64 != rg.rows {
-            return Err(ColumnarError::CountMismatch {
-                declared: rg.rows as usize,
-                actual: array.len(),
-            });
-        }
-        Ok(array)
+        let mut arrays = self.read_chunks(row_group, &[(column, limit)], scratch)?;
+        Ok(arrays.pop().expect("one chunk requested"))
     }
 
     /// Reads an entire row group in schema order.
@@ -847,9 +789,152 @@ impl<B: BlobRead> FileReader<B> {
         self.read_columns(row_group, &all)
     }
 
+    /// Every read goes through here: decodes the `(column, limit)` chunks
+    /// of `row_group` in `wanted` order, fetching them one run of
+    /// byte-adjacent chunks at a time.
+    ///
+    /// A run is served from storage memory when the backend exposes it and
+    /// is otherwise staged in `scratch` with one read. Each chunk then
+    /// decodes from its own sub-slice of the run: through the lazy
+    /// zero-copy page decode when the blob shares its allocation and the
+    /// chunk qualifies, otherwise through [`decode_chunk`]. Chunk ranges
+    /// were bounded by the file at [`FileReader::open`], so a run never
+    /// stages more than the file holds.
+    fn read_chunks(
+        &self,
+        row_group: usize,
+        wanted: &[(usize, Option<usize>)],
+        scratch: &mut ReadScratch,
+    ) -> Result<Vec<Array>> {
+        let rg = self.meta.row_groups.get(row_group).ok_or_else(|| {
+            ColumnarError::UnknownColumn { name: format!("row group {row_group}") }
+        })?;
+        let chunks = wanted
+            .iter()
+            .map(|&(column, _)| {
+                rg.columns.get(column).ok_or_else(|| ColumnarError::UnknownColumn {
+                    name: format!("column {column}"),
+                })
+            })
+            .collect::<Result<Vec<&ChunkMeta>>>()?;
+        // Footer stats size the batched decoder's outputs exactly.
+        let rows = usize::try_from(rg.rows).unwrap_or(usize::MAX);
+        let shared = self.blob.as_shared();
+        let memory = shared.as_deref().map(Vec::as_slice).or_else(|| self.blob.as_slice());
+        let mut order: Vec<usize> = (0..wanted.len()).collect();
+        order.sort_unstable_by_key(|&i| chunks[i].offset);
+        let mut arrays: Vec<Option<Array>> = wanted.iter().map(|_| None).collect();
+        let mut rest = &order[..];
+        while let Some(&first) = rest.first() {
+            // Ranges were checked at open, so these additions cannot overflow.
+            let start = chunks[first].offset;
+            let mut end = start + chunks[first].byte_len;
+            let mut members = 1;
+            while let Some(&next) = rest.get(members) {
+                if chunks[next].offset > end + COALESCE_GAP {
+                    break;
+                }
+                end = end.max(chunks[next].offset + chunks[next].byte_len);
+                members += 1;
+            }
+            let (run_members, later) = rest.split_at(members);
+            rest = later;
+            let run_len = usize::try_from(end - start).map_err(|_| ColumnarError::Io {
+                detail: format!("run of {} bytes out of addressable range", end - start),
+            })?;
+            let (run, staging, lengths): (&[u8], &mut Vec<u8>, &mut Vec<u64>) = match memory {
+                Some(all) => {
+                    // `end` is within the file, which this slice holds, so
+                    // both casts are exact.
+                    let run = all
+                        .get(start as usize..end as usize)
+                        .ok_or(ColumnarError::UnexpectedEof { context: "column chunk range" })?;
+                    let (_, staging, lengths) = scratch.split_parts();
+                    (run, staging, lengths)
+                }
+                None => scratch.read_split(&self.blob, start, run_len)?,
+            };
+            for &i in run_members {
+                let (column, limit) = wanted[i];
+                let chunk = chunks[i];
+                let from = (chunk.offset - start) as usize;
+                let bytes = &run[from..from + chunk.byte_len as usize];
+                let data_type =
+                    self.meta.schema.field(column).expect("meta/schema in sync").data_type();
+                let prefix = limit.filter(|_| data_type == DataType::ListInt64);
+                let batchable = matches!(data_type, DataType::Int64 | DataType::ListInt64);
+                // Lazy decode: when the blob shares its allocation, aligned
+                // plain pages are returned as views over the stored bytes —
+                // no staging and no value copy (see
+                // `column::read_chunk_shared`). Prefix reads gather into a
+                // compact buffer, and multi-page integer chunks cannot stay
+                // lazy (concat copies anyway), so both take the decoder.
+                let array = match &shared {
+                    Some(shared)
+                        if prefix.is_none()
+                            && !(batchable && column::peek_page_count(bytes, 0)? > 1) =>
+                    {
+                        column::read_chunk_shared(shared, chunk.offset, bytes.len(), data_type)?
+                    }
+                    _ => decode_chunk(bytes, chunk, data_type, rows, prefix, staging, lengths)?,
+                };
+                if array.len() as u64 != rg.rows {
+                    return Err(ColumnarError::CountMismatch {
+                        declared: rg.rows as usize,
+                        actual: array.len(),
+                    });
+                }
+                arrays[i] = Some(array);
+            }
+        }
+        Ok(arrays.into_iter().map(|a| a.expect("every wanted chunk is in one run")).collect())
+    }
+
     /// Returns the wrapped blob.
     pub fn into_inner(self) -> B {
         self.blob
+    }
+}
+
+/// The staged-range decoder: decodes one column chunk from exactly its
+/// stored bytes (`bytes` is the file's `chunk.offset..chunk.offset +
+/// chunk.byte_len`, wherever it was staged). Integer columns take the
+/// batched single-output-buffer decode, list columns with a `prefix` the
+/// prefix-pushdown decode, and float columns the page-at-a-time decode; all
+/// verify every page CRC and, where batched, the declared-count budget.
+fn decode_chunk(
+    bytes: &[u8],
+    chunk: &ChunkMeta,
+    data_type: DataType,
+    rows: usize,
+    prefix: Option<usize>,
+    staging: &mut Vec<u8>,
+    lengths: &mut Vec<u64>,
+) -> Result<Array> {
+    let elements = usize::try_from(chunk.stats.elements).unwrap_or(usize::MAX);
+    let mut pos = 0usize;
+    match (data_type, prefix) {
+        (DataType::ListInt64, Some(prefix)) => column::read_chunk_prefix(
+            bytes,
+            &mut pos,
+            chunk.offset,
+            rows,
+            elements,
+            prefix,
+            staging,
+            lengths,
+        ),
+        (DataType::Int64 | DataType::ListInt64, _) => column::read_chunk_batched(
+            bytes,
+            &mut pos,
+            data_type,
+            chunk.offset,
+            rows,
+            elements,
+            staging,
+            lengths,
+        ),
+        _ => column::read_chunk_at(bytes, &mut pos, data_type, chunk.offset),
     }
 }
 
@@ -1303,5 +1388,317 @@ mod tests {
         assert_eq!(shared.read_row_group(last).unwrap(), expect);
         let opaque = FileReader::open(CountingBlob::new(MemBlob::new(bytes))).unwrap();
         assert_eq!(opaque.read_row_group(last).unwrap(), expect);
+    }
+
+    /// Six columns of every type, stored back to back per row group.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("label", DataType::Int64),
+            Field::new("dense_0", DataType::Float32),
+            Field::new("sparse_0", DataType::ListInt64),
+            Field::new("dense_1", DataType::Float64),
+            Field::new("sparse_1", DataType::ListInt64),
+            Field::new("id", DataType::Int64),
+        ])
+        .unwrap()
+    }
+
+    fn wide_columns(rows: usize, salt: i64) -> Vec<Array> {
+        vec![
+            Array::Int64((0..rows as i64).map(|i| (i + salt) % 2).collect()),
+            Array::Float32((0..rows).map(|i| i as f32 * 0.25).collect()),
+            Array::from_lists((0..rows).map(|i| vec![salt + i as i64; i % 5]).collect::<Vec<_>>())
+                .unwrap(),
+            Array::Float64((0..rows).map(|i| (i as f64).sqrt()).collect()),
+            Array::from_lists(
+                (0..rows)
+                    .map(|i| (0..(i % 3) as i64).map(|j| j * 7 + salt).collect::<Vec<_>>())
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap(),
+            Array::Int64((0..rows as i64).map(|i| (i * 1_000_003) ^ salt).collect()),
+        ]
+    }
+
+    fn wide_file(groups: usize, rows: usize) -> Vec<u8> {
+        let mut w = FileWriter::with_page_rows(wide_schema(), 64);
+        for g in 0..groups {
+            w.write_row_group(&wide_columns(rows, g as i64)).unwrap();
+        }
+        w.finish()
+    }
+
+    /// Projections of the wide schema: permuted, duplicated, non-contiguous
+    /// and complete, each with the prefix limits it is read with.
+    fn projections() -> Vec<(Vec<&'static str>, Vec<Option<usize>>)> {
+        vec![
+            (vec!["dense_1", "dense_0", "sparse_0"], vec![None, None, Some(2)]),
+            (vec!["sparse_0", "sparse_0", "label"], vec![Some(1), None, None]),
+            (vec!["label", "sparse_0", "sparse_1"], vec![None, Some(3), None]),
+            (vec!["id", "dense_0", "dense_1"], vec![None, None, None]),
+            (
+                vec!["label", "dense_0", "sparse_0", "dense_1", "sparse_1", "id"],
+                vec![None, None, Some(2), None, Some(1), None],
+            ),
+        ]
+    }
+
+    /// Runs of consecutive schema indices among the distinct projected
+    /// columns: the writer stores a group's chunks in schema order, back to
+    /// back, so these are the byte-adjacent runs.
+    fn schema_runs(schema: &Schema, names: &[&str]) -> u64 {
+        let mut idx = schema.project(names).unwrap();
+        idx.sort_unstable();
+        idx.dedup();
+        idx.iter().enumerate().filter(|&(k, &c)| k == 0 || idx[k - 1] + 1 != c).count() as u64
+    }
+
+    #[test]
+    fn coalesced_reads_issue_one_read_per_adjacent_run() {
+        let reader = FileReader::open(CountingBlob::new(MemBlob::new(wide_file(3, 200)))).unwrap();
+        let mut scratch = ReadScratch::new();
+        for g in 0..reader.row_group_count() {
+            for (names, limits) in projections() {
+                let mut distinct = reader.schema().project(&names).unwrap();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let bytes: u64 =
+                    distinct.iter().map(|&c| reader.meta().row_groups[g].columns[c].byte_len).sum();
+                for limited in [false, true] {
+                    reader.blob.reset();
+                    if limited {
+                        reader.read_projected_limits_with(g, &names, &limits, &mut scratch)
+                    } else {
+                        reader.read_projected_with(g, &names, &mut scratch)
+                    }
+                    .unwrap();
+                    let runs = schema_runs(reader.schema(), &names);
+                    assert_eq!(reader.blob.read_calls(), runs, "{names:?} g={g}");
+                    assert_eq!(reader.blob.bytes_read(), bytes, "{names:?} g={g}");
+                }
+            }
+            reader.blob.reset();
+            reader.read_row_group(g).unwrap();
+            assert_eq!(reader.blob.read_calls(), 1, "a whole row group is one run");
+        }
+    }
+
+    #[test]
+    fn open_takes_two_reads_or_one_for_a_file_inside_the_window() {
+        let small = sample_file(1, 40);
+        assert!(small.len() <= TAIL_WINDOW);
+        let blob = CountingBlob::new(MemBlob::new(small));
+        let reader = FileReader::open(&blob).unwrap();
+        assert_eq!(blob.read_calls(), 1, "the window covers the whole file");
+        assert_eq!(reader.read_row_group(0).unwrap(), sample_columns(40, 0));
+
+        let large = wide_file(4, 2000);
+        assert!(large.len() > 4 * TAIL_WINDOW);
+        let blob = CountingBlob::new(MemBlob::new(large.clone()));
+        FileReader::open(&blob).unwrap();
+        assert_eq!(blob.read_calls(), 2, "leading magic + tail window");
+        assert_eq!(blob.bytes_read(), (MAGIC.len() + TAIL_WINDOW) as u64);
+
+        // A footer larger than the window costs exactly one more read.
+        let mut w = FileWriter::with_page_rows(wide_schema(), 8).with_group_rows(2);
+        w.write_batch(&wide_columns(1200, 1)).unwrap();
+        let bytes = w.finish();
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
+        assert!(footer_len > TAIL_WINDOW, "footer of {footer_len} bytes");
+        let blob = CountingBlob::new(MemBlob::new(bytes.clone()));
+        let reader = FileReader::open(&blob).unwrap();
+        assert_eq!(blob.read_calls(), 3);
+        assert_eq!(reader.meta(), FileReader::open(MemBlob::new(bytes)).unwrap().meta());
+
+        // In-memory blobs are parsed in place: nothing is read or copied.
+        let reader = FileReader::open(MemBlob::new(large)).unwrap();
+        assert_eq!(reader.row_group_count(), 4);
+    }
+
+    /// Every projection of `reader`, plain and prefix-limited, over every
+    /// row group, compared with the shared-memory reader `expect`.
+    fn assert_matches_shared<B: BlobRead>(reader: &FileReader<B>, expect: &FileReader<MemBlob>) {
+        let mut scratch = ReadScratch::new();
+        let mut fresh = ReadScratch::new();
+        for g in 0..expect.row_group_count() {
+            assert_eq!(reader.read_row_group(g).unwrap(), expect.read_row_group(g).unwrap());
+            for (names, limits) in projections() {
+                assert_eq!(
+                    reader.read_projected_with(g, &names, &mut scratch).unwrap(),
+                    expect.read_projected_with(g, &names, &mut fresh).unwrap(),
+                    "{names:?} g={g}"
+                );
+                assert_eq!(
+                    reader.read_projected_limits_with(g, &names, &limits, &mut scratch).unwrap(),
+                    expect.read_projected_limits_with(g, &names, &limits, &mut fresh).unwrap(),
+                    "{names:?} {limits:?} g={g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn opaque_backends_read_bit_identically_to_shared_memory() {
+        use crate::fault::{FaultPlan, FaultyBlob};
+        use crate::io::{Device, DeviceModel, FsBlob};
+        use std::sync::Arc;
+        let bytes = wide_file(2, 300);
+        let shared = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
+        let device =
+            Arc::new(Device::new(DeviceModel::new(std::time::Duration::from_micros(1), 1)));
+        let on_device = MemBlob::new(bytes.clone()).behind_device(Arc::clone(&device));
+        assert_matches_shared(&FileReader::open(on_device).unwrap(), &shared);
+        assert!(device.stats().reads > 0, "reads went through the device");
+
+        let faultless = FaultyBlob::new(MemBlob::new(bytes.clone()), FaultPlan::new(3).arm(), 0, 0);
+        assert_matches_shared(&FileReader::open(faultless).unwrap(), &shared);
+        assert_matches_shared(
+            &FileReader::open(CountingBlob::new(MemBlob::new(bytes.clone()))).unwrap(),
+            &shared,
+        );
+
+        let dir = std::env::temp_dir().join(format!("presto_coalesced_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wide.col");
+        std::fs::write(&path, &bytes).unwrap();
+        assert_matches_shared(&FileReader::open(FsBlob::open(&path).unwrap()).unwrap(), &shared);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_flipped_byte_of_a_coalesced_run_errors_or_reads_back_unchanged() {
+        // One row group whose whole projection is a single staged run:
+        // flipping any byte of it must surface as an error (page CRC or
+        // structural check), never as different output.
+        let bytes = wide_file(1, 40);
+        let names = ["label", "dense_0", "sparse_0", "dense_1", "sparse_1", "id"];
+        let limits = [None, None, Some(2), None, Some(1), None];
+        let pristine = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
+        let mut scratch = ReadScratch::new();
+        let expect = pristine.read_projected_with(0, &names, &mut scratch).unwrap();
+        let expect_limited =
+            pristine.read_projected_limits_with(0, &names, &limits, &mut scratch).unwrap();
+        let chunks = &pristine.meta().row_groups[0].columns;
+        let start = chunks[0].offset as usize;
+        let end = chunks.iter().map(|c| (c.offset + c.byte_len) as usize).max().unwrap();
+        let mut errors = 0usize;
+        for at in start..end {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xA5;
+            let reader = FileReader::open(CountingBlob::new(MemBlob::new(flipped))).unwrap();
+            let full = reader.read_projected_with(0, &names, &mut scratch);
+            let limited = reader.read_projected_limits_with(0, &names, &limits, &mut scratch);
+            assert_eq!(reader.blob.read_calls(), 1 + 2, "open + one run per read");
+            match (full, limited) {
+                (Ok(full), Ok(limited)) => {
+                    assert_eq!(full, expect, "flip at {at} changed the output");
+                    assert_eq!(limited, expect_limited, "flip at {at} changed the output");
+                }
+                (full, limited) => {
+                    errors += 1;
+                    assert!(full.as_ref().map_or(true, |f| *f == expect), "flip at {at}");
+                    assert!(
+                        limited.as_ref().map_or(true, |l| *l == expect_limited),
+                        "flip at {at}"
+                    );
+                }
+            }
+        }
+        // Only alignment padding is unchecked; everything else errors.
+        assert!(errors * 10 >= (end - start) * 9, "{errors} errors over {} bytes", end - start);
+    }
+
+    /// Seed of the fault schedules below: `PRESTO_FAULT_SEED` when set (the
+    /// CI chaos job's seed matrix), else 42.
+    fn fault_seed() -> u64 {
+        std::env::var("PRESTO_FAULT_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42)
+    }
+
+    #[test]
+    fn seeded_faults_through_coalesced_reads_never_change_output() {
+        use crate::fault::{FaultPlan, FaultyBlob};
+        // Transient and corrupt reads on the open and on the coalesced runs
+        // of a multi-group file: every attempt either errors or returns the
+        // pristine bytes, and retrying from pristine media always clears.
+        let bytes = wide_file(3, 120);
+        let pristine = FileReader::open(MemBlob::new(bytes.clone())).unwrap();
+        let names = ["sparse_1", "label", "dense_0", "sparse_0", "id"];
+        let limits = [Some(1), None, None, Some(2), None];
+        let mut scratch = ReadScratch::new();
+        let expect: Vec<Vec<Array>> = (0..3)
+            .map(|g| pristine.read_projected_limits_with(g, &names, &limits, &mut scratch).unwrap())
+            .collect();
+        let injector =
+            FaultPlan::new(fault_seed()).with_transient_rate(0.15).with_corrupt_rate(0.25).arm();
+        let (mut ok, mut errors) = (0usize, 0usize);
+        for attempt in 0..120 {
+            let blob = FaultyBlob::new(MemBlob::new(bytes.clone()), injector.clone(), 0, attempt);
+            let read = FileReader::open(blob).and_then(|reader| {
+                (0..3)
+                    .map(|g| reader.read_projected_limits_with(g, &names, &limits, &mut scratch))
+                    .collect::<Result<Vec<_>>>()
+            });
+            match read {
+                Ok(got) => {
+                    assert_eq!(got, expect, "attempt {attempt} returned wrong output");
+                    ok += 1;
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        let stats = injector.stats();
+        assert!(stats.transient > 0 && stats.corrupt > 0, "the seed must inject both: {stats:?}");
+        assert!(errors > 0 && ok > 0, "{ok} clean attempts, {errors} failed");
+    }
+
+    /// Rewrites `bytes`' footer as `meta` with a fresh, valid CRC.
+    fn with_footer(bytes: &[u8], meta: &FileMeta) -> Vec<u8> {
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 12..n - 8].try_into().unwrap()) as usize;
+        let mut out = bytes[..n - TRAILER_LEN - footer_len].to_vec();
+        let mut footer = Vec::new();
+        meta.write(&mut footer, FormatVersion::V4);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&crc32(&footer).to_le_bytes());
+        out.extend_from_slice(&(footer.len() as u32).to_le_bytes());
+        out.extend_from_slice(MAGIC);
+        out
+    }
+
+    #[test]
+    fn crc_valid_footer_with_out_of_file_chunk_is_rejected_not_allocated() {
+        // A footer that claims a 64 GiB chunk once made the staging read
+        // size its buffer before any bounds check ran, and the allocation
+        // aborted the process. Such a footer must fail the open instead.
+        let bytes = sample_file(1, 50);
+        let meta = FileReader::open(MemBlob::new(bytes.clone())).unwrap().meta().clone();
+        let data_end = {
+            let last = meta.row_groups[0].columns.last().unwrap();
+            last.offset + last.byte_len
+        };
+        let tampered: [(u64, u64); 4] = [
+            (meta.row_groups[0].columns[0].offset, 64 << 30),
+            (u64::MAX - 4, 16),
+            (0, 8),
+            (data_end - 4, 8),
+        ];
+        for (offset, byte_len) in tampered {
+            let mut bad = meta.clone();
+            bad.row_groups[0].columns[0].offset = offset;
+            bad.row_groups[0].columns[0].byte_len = byte_len;
+            let file = with_footer(&bytes, &bad);
+            let read = FileReader::open(CountingBlob::new(MemBlob::new(file.clone())))
+                .and_then(|reader| reader.read_column(0, 0));
+            assert!(
+                matches!(read, Err(ColumnarError::CorruptFile { .. })),
+                "chunk {offset}+{byte_len}: {read:?}"
+            );
+            assert!(FileReader::open(MemBlob::new(file)).is_err());
+        }
+        // The untampered rewrite still opens: the rejection is the range.
+        let file = with_footer(&bytes, &meta);
+        let reader = FileReader::open(CountingBlob::new(MemBlob::new(file))).unwrap();
+        assert_eq!(reader.read_row_group(0).unwrap(), sample_columns(50, 0));
     }
 }

@@ -10,8 +10,11 @@
 //!
 //! The interface is built around [`BlobRead::read_at_into`], which fills a
 //! caller-provided buffer: a reader that recycles one [`ReadScratch`] per
-//! worker performs no per-read heap allocation. Two further copies are
-//! elided on the common paths:
+//! worker performs no per-read heap allocation. On backends that expose
+//! only reads, the file reader stages each run of byte-adjacent projected
+//! column chunks with one such read and decodes every chunk from its own
+//! sub-slice of the run. Two further copies are elided on the common
+//! paths:
 //!
 //! * [`MemBlob`] shares its bytes behind an [`Arc`], so cloning a blob (as
 //!   every parallel worker does per partition) is a reference-count bump,
@@ -31,6 +34,13 @@
 //! SSD model in `presto_hwsim` predicts. Place blobs behind a shared device
 //! with [`MemBlob::behind_device`] to make contention measurable on any
 //! host.
+//!
+//! A device read costs its service time whatever its size, so the file
+//! reader keeps the read count low: a file opens with two reads (the
+//! leading magic and one tail window holding the footer; one read when the
+//! whole file fits in the window), and a projection costs one read per run
+//! of byte-adjacent chunks — one read for a row group whose projected
+//! columns are stored next to each other.
 
 use crate::error::Result;
 use crate::fault::{FaultInjector, FaultSite};
@@ -283,13 +293,14 @@ impl<B: BlobRead + ?Sized> BlobRead for &B {
 
 /// Reusable per-worker buffers for the Extract read + decode path.
 ///
-/// One `ReadScratch` per worker turns every column-chunk read into a
-/// positioned read over recycled memory: after warm-up (the largest chunk
-/// seen so far) no further allocation occurs. Beyond the chunk staging
-/// buffer it recycles the batched chunk decoder's intermediates — the LZ
-/// decompress staging and the list-length stream — so decoded id/offset
-/// blocks go straight from storage bytes into their exactly-sized output
-/// buffers with nothing allocated in between.
+/// One `ReadScratch` per worker turns every coalesced chunk read (one run
+/// of byte-adjacent projected column chunks) into a positioned read over
+/// recycled memory: after warm-up (the largest run seen so far — at most
+/// one row group's projected bytes) no further allocation occurs. Beyond
+/// the staging buffer it recycles the batched chunk decoder's
+/// intermediates — the LZ decompress staging and the list-length stream —
+/// so decoded id/offset blocks go straight from storage bytes into their
+/// exactly-sized output buffers with nothing allocated in between.
 #[derive(Debug, Default)]
 pub struct ReadScratch {
     buf: Vec<u8>,
@@ -314,10 +325,11 @@ impl ReadScratch {
         (&mut self.buf, &mut self.staging, &mut self.lengths)
     }
 
-    /// Stages `len` bytes at `offset` from `blob` into the recycled chunk
-    /// buffer (same grow-and-fill as [`ReadScratch::read`]) and returns
-    /// them together with the decode intermediates as disjoint borrows —
-    /// the batched chunk decoder's entry point for opaque backends.
+    /// Stages `len` bytes at `offset` from `blob` into the recycled buffer
+    /// with one read and returns them together with the decode
+    /// intermediates as disjoint borrows — how the file reader stages a
+    /// run of chunks from an opaque backend. `len` comes from footer chunk
+    /// ranges, which [`crate::FileReader::open`] bounds by the file size.
     ///
     /// # Errors
     ///
@@ -348,12 +360,7 @@ impl ReadScratch {
         offset: u64,
         len: usize,
     ) -> Result<&[u8]> {
-        if self.buf.len() < len {
-            self.buf.resize(len, 0);
-        }
-        let dst = &mut self.buf[..len];
-        blob.read_at_into(offset, dst)?;
-        Ok(dst)
+        Ok(self.read_split(blob, offset, len)?.0)
     }
 
     /// Current buffer capacity in bytes (diagnostic).

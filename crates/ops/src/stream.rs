@@ -354,6 +354,15 @@ mod tests {
         assert_eq!(errors, 1, "error surfaced exactly once");
     }
 
+    /// Positioned reads one fault-free attempt at a partition of `ds`
+    /// issues, counted through a `CountingBlob`: the unit the fault
+    /// schedules below are sized in.
+    fn reads_per_partition(plan: &PreprocessPlan, ds: &Dataset) -> u64 {
+        let counting = presto_columnar::CountingBlob::new(ds.partitions()[0].blob.clone());
+        crate::executor::preprocess_partition(plan, &counting).expect("fault-free probe");
+        counting.read_calls()
+    }
+
     #[test]
     fn transient_faults_are_retried_to_a_bit_identical_stream() {
         let (c, ds) = dataset(6, 24, 2);
@@ -364,12 +373,15 @@ mod tests {
             .map(|p| crate::executor::preprocess_partition(&plan, p.blob.clone()).unwrap().0)
             .collect();
         // Arm every partition with a per-read transient fault rate low
-        // enough that a whole-partition attempt (~40 column reads) clears
-        // within the generous attempt budget — each retry consumes fresh
-        // read indices, so faults eventually miss. Quarantine off:
+        // enough that a whole-partition attempt clears within the generous
+        // attempt budget — each retry consumes fresh read indices, so
+        // faults eventually miss. An attempt costs the few reads the probe
+        // counts (the open plus one per run of adjacent projected columns),
+        // so the rate gives about one fault per attempt. Quarantine off:
         // host-fleet faults here are random across devices, not a dying
         // device.
-        let injector = presto_columnar::FaultPlan::new(1234).with_transient_rate(0.1).arm();
+        let rate = 1.0 / reads_per_partition(&plan, &ds) as f64;
+        let injector = presto_columnar::FaultPlan::new(1234).with_transient_rate(rate).arm();
         let partitions: Vec<Partition> = ds
             .partitions()
             .iter()
@@ -400,7 +412,9 @@ mod tests {
     fn corrupt_pages_are_caught_by_crc_and_retried_from_pristine_media() {
         let (c, ds) = dataset(4, 16, 1);
         let plan = PreprocessPlan::from_config(&c, 1).unwrap();
-        let injector = presto_columnar::FaultPlan::new(7).with_corrupt_rate(0.05).arm();
+        // About one corrupt read per partition attempt (see the probe).
+        let rate = 1.0 / reads_per_partition(&plan, &ds) as f64;
+        let injector = presto_columnar::FaultPlan::new(7).with_corrupt_rate(rate).arm();
         let partitions: Vec<Partition> = ds
             .partitions()
             .iter()

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use presto::columnar::{FaultInjector, FaultPlan};
+use presto::columnar::{CountingBlob, FaultInjector, FaultPlan};
 use presto::core::{BatchSource, Fleet, Trainer, TrainerConfig};
 use presto::datagen::{Dataset, Partition, RmConfig};
 use presto::ops::{
@@ -53,11 +53,23 @@ fn serial_reference(plan: &PreprocessPlan, ds: &Dataset) -> Vec<MiniBatch> {
         .collect()
 }
 
+/// Positioned reads one fault-free attempt at a partition of `ds` issues
+/// (file open plus coalesced column reads), counted through a
+/// [`CountingBlob`]. The fault schedules below are sized from it, because a
+/// per-read rate or a read budget means nothing without the reads a
+/// partition costs. Every partition of a dataset has the same layout.
+fn reads_per_partition(plan: &PreprocessPlan, ds: &Dataset) -> u64 {
+    let counting = CountingBlob::new(ds.partitions()[0].blob.clone());
+    preprocess_partition(plan, &counting).expect("fault-free probe");
+    counting.read_calls()
+}
+
 /// A retry budget generous enough that per-read transient rates clear: one
-/// whole-partition attempt issues ~40 column reads, so each attempt succeeds
-/// with probability ~(1 - rate)^40 and fresh read indices make retries
-/// independent. Quarantine stays off — these faults are random across the
-/// fleet, not a dying device.
+/// whole-partition attempt issues `reads_per_partition` reads (a few: the
+/// open plus one per run of adjacent projected columns), so each attempt
+/// succeeds with probability (1 - rate)^reads and fresh read indices make
+/// retries independent. Quarantine stays off — these faults are random
+/// across the fleet, not a dying device.
 fn transient_policy() -> RetryPolicy {
     RetryPolicy::recover()
         .with_max_attempts(2000)
@@ -116,7 +128,11 @@ fn corrupt_pages_recover_from_pristine_media() {
     let plan = PreprocessPlan::from_config(&c, 1).unwrap();
     let serial = serial_reference(&plan, &ds);
 
-    let injector = FaultPlan::new(fault_seed()).with_corrupt_rate(0.04).arm();
+    // About one corrupt read per partition attempt: every seed corrupts,
+    // and an attempt of two or more reads still clears with probability
+    // (1 - 1/reads)^reads >= 1/4.
+    let rate = 1.0 / reads_per_partition(&plan, &ds) as f64;
+    let injector = FaultPlan::new(fault_seed()).with_corrupt_rate(rate).arm();
     let partitions = armed(&ds, &injector);
     let config = FleetConfig::new(2, 2).with_recovery(transient_policy());
     let streamed: Vec<MiniBatch> = BatchStream::spawn(&plan, &partitions, &config)
@@ -134,10 +150,11 @@ fn dead_isp_device_fails_over_bit_identically_and_reports_it() {
     let plan = PreprocessPlan::from_config(&c, 1).unwrap();
     let serial = serial_reference(&plan, &ds);
 
-    // Device 1 serves ~1.5 partitions' worth of reads, then dies mid-run:
+    // Device 1 serves 1.5 partitions' worth of reads, then dies mid-run:
     // its in-flight partition fails, the breaker quarantines the device,
     // and every remaining device-1 partition routes to the host fleet.
-    let injector = FaultPlan::new(fault_seed()).with_device_death(1, 60).arm();
+    let budget = reads_per_partition(&plan, &ds) * 3 / 2;
+    let injector = FaultPlan::new(fault_seed()).with_device_death(1, budget).arm();
     let partitions = armed(&ds, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
     let mut stream =
@@ -225,10 +242,11 @@ fn multi_tenant_device_death_degrades_only_the_victim_job() {
     let plan = PreprocessPlan::from_config(&c, 1).unwrap();
     let serial = serial_reference(&plan, &ds);
 
-    // The victim job's device 1 dies mid-run; the healthy job shares the
-    // same pool but reads pristine media, so the quarantine must stay
-    // scoped to the victim.
-    let injector = FaultPlan::new(fault_seed()).with_device_death(1, 60).arm();
+    // The victim job's device 1 dies mid-run, after 1.5 partitions' worth
+    // of reads; the healthy job shares the same pool but reads pristine
+    // media, so the quarantine must stay scoped to the victim.
+    let budget = reads_per_partition(&plan, &ds) * 3 / 2;
+    let injector = FaultPlan::new(fault_seed()).with_device_death(1, budget).arm();
     let victim_partitions = armed(&ds, &injector);
     let policy = RetryPolicy::recover().with_max_attempts(2).with_quarantine_after(2);
 

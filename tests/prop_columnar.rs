@@ -4,8 +4,8 @@
 //! data silently, never over-allocates from attacker-controlled counts).
 
 use presto::columnar::{
-    encoding, Array, Compression, DataType, Encoding, Field, FileReader, FileWriter, MemBlob,
-    Schema, WritePolicy,
+    encoding, Array, BlobRead, Compression, CountingBlob, DataType, Encoding, Field, FileReader,
+    FileWriter, MemBlob, Schema, WritePolicy,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,6 +20,14 @@ fn arb_array(rows: usize) -> impl Strategy<Value = Array> {
         vec(vec(any::<i64>(), 0..8), rows..=rows)
             .prop_map(|lists| Array::from_lists(lists).expect("fits u32")),
     ]
+}
+
+/// The reader backends the read properties run on: the shared in-memory
+/// blob that the lazy zero-copy decode reads, and an opaque `CountingBlob`
+/// whose reads are staged, one read per run of adjacent chunks.
+fn backends(bytes: Vec<u8>) -> [Box<dyn BlobRead>; 2] {
+    let shared = MemBlob::new(bytes);
+    [Box::new(shared.clone()), Box::new(CountingBlob::new(shared))]
 }
 
 fn arb_table() -> impl Strategy<Value = (Schema, Vec<Array>)> {
@@ -65,8 +73,10 @@ proptest! {
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             // Opening or reading a truncated file must error, never panic.
-            if let Ok(reader) = FileReader::open(MemBlob::new(bytes[..cut].to_vec())) {
-                let _ = reader.read_row_group(0);
+            for blob in backends(bytes[..cut].to_vec()) {
+                if let Ok(reader) = FileReader::open(&*blob) {
+                    let _ = reader.read_row_group(0);
+                }
             }
         }
     }
@@ -84,8 +94,10 @@ proptest! {
         bytes[pos] ^= flip;
         // Any result is acceptable except a panic; checksums catch payload
         // damage, structural validation catches the rest.
-        if let Ok(reader) = FileReader::open(MemBlob::new(bytes)) {
-            let _ = reader.read_row_group(0);
+        for blob in backends(bytes) {
+            if let Ok(reader) = FileReader::open(&*blob) {
+                let _ = reader.read_row_group(0);
+            }
         }
     }
 
@@ -96,11 +108,13 @@ proptest! {
     ) {
         let mut writer = FileWriter::new(schema.clone());
         writer.write_row_group(&arrays).expect("writes");
-        let reader = FileReader::open(MemBlob::new(writer.finish())).expect("opens");
         let idx = pick.index(schema.len());
         let name = schema.field(idx).expect("in range").name().to_owned();
-        let projected = reader.read_projected(0, &[&name]).expect("projects");
-        prop_assert_eq!(&projected[0], &arrays[idx]);
+        for blob in backends(writer.finish()) {
+            let reader = FileReader::open(&*blob).expect("opens");
+            let projected = reader.read_projected(0, &[&name]).expect("projects");
+            prop_assert_eq!(&projected[0], &arrays[idx]);
+        }
     }
 
     #[test]
@@ -200,18 +214,20 @@ proptest! {
                 let array = Array::from_lists(lists.clone()).expect("fits u32");
                 writer.write_row_group(std::slice::from_ref(&array)).expect("writes");
             }
-            let reader = FileReader::open(MemBlob::new(writer.finish())).expect("opens");
-            let mut scratch = ReadScratch::new();
-            for (g, lists) in groups.iter().enumerate() {
-                let limited = reader
-                    .read_projected_limits_with(g, &["lists"], &[Some(x)], &mut scratch)
-                    .expect("prefix read");
-                let truncated: Vec<Vec<i64>> = lists
-                    .iter()
-                    .map(|l| l[..l.len().min(x)].to_vec())
-                    .collect();
-                let expect = Array::from_lists(truncated).expect("fits u32");
-                prop_assert!(limited[0] == expect, "{enc} g={g} x={x} diverged");
+            for blob in backends(writer.finish()) {
+                let reader = FileReader::open(&*blob).expect("opens");
+                let mut scratch = ReadScratch::new();
+                for (g, lists) in groups.iter().enumerate() {
+                    let limited = reader
+                        .read_projected_limits_with(g, &["lists"], &[Some(x)], &mut scratch)
+                        .expect("prefix read");
+                    let truncated: Vec<Vec<i64>> = lists
+                        .iter()
+                        .map(|l| l[..l.len().min(x)].to_vec())
+                        .collect();
+                    let expect = Array::from_lists(truncated).expect("fits u32");
+                    prop_assert!(limited[0] == expect, "{enc} g={g} x={x} diverged");
+                }
             }
         }
     }
